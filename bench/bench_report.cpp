@@ -6,7 +6,7 @@
 //    threads).
 //  - BENCH_datapath.json: the zero-copy pooled data path against the
 //    copying legacy path over the same hot working set, plus the
-//    OutOfCoreAdam steady-state loop. Acceptance: >= 2x reduction in
+//    AsyncUpdateEngine steady-state loop. Acceptance: >= 2x reduction in
 //    bytes-copied-per-step, and 0 pool misses per step after warmup.
 //
 // Usage: bench_report [kernels.json] [datapath.json]
@@ -28,7 +28,7 @@
 #include "common/rng.h"
 #include "optim/cpu_adam.h"
 #include "runtime/compute_pool.h"
-#include "runtime/out_of_core_adam.h"
+#include "runtime/async_update_engine.h"
 #include "simd/simd.h"
 #include "xfer/transfer_engine.h"
 
@@ -167,7 +167,8 @@ int main(int argc, char** argv) {
   // kernel layer exactly like the seed baseline (single thread, no
   // graph): forward NN, dA via pack(B^T)+NN, dB via TN. The avx2 /
   // scalar ratio is the acceptance metric for the vectorized compute
-  // layer (>= 2x single-thread).
+  // layer (>= 2x single-thread); scalar is the portable build of the
+  // same kernel source.
   {
     std::vector<float> bt(n * n);
     auto run_trio = [&](const simd::KernelTable& kt) {
@@ -392,7 +393,7 @@ int main(int argc, char** argv) {
   datapath.Add("xfer/copying_pool_misses_per_step", 1, copying_allocs, "");
   datapath.Add("xfer/pooled_pool_misses_per_step", 1, pooled_allocs, "");
 
-  // OutOfCoreAdam steady state: the read->update->writeback pipeline
+  // AsyncUpdateEngine steady state: the read->update->writeback pipeline
   // leases every buffer from the warm free lists — zero pool misses and
   // zero host copies per optimizer step.
   {
@@ -408,7 +409,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     const int64_t np = smoke ? 1 << 12 : 1 << 16;
-    OutOfCoreAdam adam(AdamConfig{}, engine->get());
+    AsyncUpdateEngine adam(AdamConfig{}, engine->get());
     Rng arng(9);
     std::vector<float> init(np);
     for (auto& p : init) p = static_cast<float>(arng.NextGaussian());

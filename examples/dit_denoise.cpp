@@ -15,7 +15,7 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/units.h"
-#include "runtime/out_of_core_adam.h"
+#include "runtime/async_update_engine.h"
 #include "runtime/thread_pool.h"
 #include "xfer/transfer_engine.h"
 
@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
   }
   AdamConfig adam_cfg;
   adam_cfg.lr = 2e-3;
-  OutOfCoreAdam adam(adam_cfg, engine->get());
+  AsyncUpdateEngine adam(adam_cfg, engine->get());
   for (auto& [name, var] : model.parameters()) {
     RATEL_CHECK_OK(adam.Register(name, var.value()));
   }

@@ -199,32 +199,6 @@ Variable AddBias(const Variable& a, const Variable& bias) {
   return Variable(out);
 }
 
-Variable Scale(const Variable& a, float factor) {
-  NodePtr out = MakeOutput(a.shape(), {a.node()});
-  const int64_t n = out->NumElements();
-  const float* av = a.value().data();
-  float* ov = out->value.data();
-  const simd::KernelTable* kt = &simd::Kernels();
-  ComputeParallelFor(KernelCost::kElementwise, n, 0, n, kEltTile,
-                     [=](int64_t i0, int64_t i1) {
-                       kt->scale(av + i0, factor, ov + i0, i1 - i0);
-                     });
-  out->backward_fn = [n, factor](Node& self) {
-    Node& na = *self.inputs[0];
-    if (!na.requires_grad()) return;
-    std::vector<float> da(n);
-    const float* g = self.grad.data();
-    float* dap = da.data();
-    const simd::KernelTable* kt = &simd::Kernels();
-    ComputeParallelFor(KernelCost::kElementwise, n, 0, n, kEltTile,
-                       [=](int64_t i0, int64_t i1) {
-                         kt->scale(g + i0, factor, dap + i0, i1 - i0);
-                       });
-    na.AccumulateGrad(da.data(), n);
-  };
-  return Variable(out);
-}
-
 Variable Gelu(const Variable& a) {
   NodePtr out = MakeOutput(a.shape(), {a.node()});
   const int64_t n = out->NumElements();

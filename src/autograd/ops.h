@@ -26,9 +26,6 @@ Variable Add(const Variable& a, const Variable& b);
 /// Adds a length-N bias row to every row of a (MxN).
 Variable AddBias(const Variable& a, const Variable& bias);
 
-/// Element-wise scale by a compile-time constant.
-Variable Scale(const Variable& a, float factor);
-
 /// tanh-approximation GELU.
 Variable Gelu(const Variable& a);
 

@@ -45,9 +45,19 @@ Status ReadBytes(std::FILE* f, void* data, size_t n) {
   return Status::Ok();
 }
 
+// Bytes between the read position and the end of `f`. Every length
+// field is checked against this before anything is sized from it, so a
+// corrupt length fails as kDataLoss instead of allocating.
+uint64_t BytesLeft(std::FILE* f) {
+  struct stat st;
+  const long pos = std::ftell(f);
+  if (pos < 0 || ::fstat(::fileno(f), &st) != 0 || st.st_size < pos) return 0;
+  return static_cast<uint64_t>(st.st_size - pos);
+}
+
 }  // namespace
 
-Status Save(OutOfCoreAdam& adam, const std::vector<std::string>& names,
+Status Save(AsyncUpdateEngine& adam, const std::vector<std::string>& names,
             const std::string& path) {
   // Barrier: any state writeback still queued behind the engine must
   // land before the master copies are read out.
@@ -89,6 +99,10 @@ Result<std::vector<Entry>> Load(const std::string& path) {
   }
   uint32_t count = 0;
   RATEL_RETURN_IF_ERROR(ReadBytes(f.get(), &count, sizeof(count)));
+  // An entry is at least its name length (u32) and element count (u64).
+  if (count > BytesLeft(f.get()) / 12) {
+    return Status::DataLoss("corrupt checkpoint: entry count exceeds file");
+  }
   std::vector<Entry> entries;
   entries.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
@@ -102,8 +116,8 @@ Result<std::vector<Entry>> Load(const std::string& path) {
     RATEL_RETURN_IF_ERROR(ReadBytes(f.get(), e.name.data(), name_len));
     uint64_t n = 0;
     RATEL_RETURN_IF_ERROR(ReadBytes(f.get(), &n, sizeof(n)));
-    if (n > (uint64_t{1} << 34)) {
-      return Status::InvalidArgument("corrupt checkpoint: tensor too large");
+    if (n > BytesLeft(f.get()) / 4) {
+      return Status::DataLoss("corrupt checkpoint: tensor exceeds file");
     }
     e.values.resize(n);
     RATEL_RETURN_IF_ERROR(ReadBytes(f.get(), e.values.data(), 4 * n));
@@ -288,6 +302,11 @@ Result<TrainState> LoadState(const std::string& path) {
   uint32_t count = 0;
   RATEL_RETURN_IF_ERROR(r.Read(&count, sizeof(count)));
   RATEL_RETURN_IF_ERROR(r.VerifyCrc("header"));
+  // A shard is at least its name length, n, adam_step and CRC.
+  if (count > BytesLeft(f.get()) / 24) {
+    return Status::DataLoss("checkpoint '" + path +
+                            "': tensor count exceeds file");
+  }
   TrainState state;
   state.step = static_cast<int64_t>(step);
   state.tensors.reserve(count);
@@ -302,8 +321,9 @@ Result<TrainState> LoadState(const std::string& path) {
     RATEL_RETURN_IF_ERROR(r.Read(t.name.data(), name_len));
     uint64_t n = 0;
     RATEL_RETURN_IF_ERROR(r.Read(&n, sizeof(n)));
-    if (n > (uint64_t{1} << 34)) {
-      return Status::DataLoss("checkpoint '" + path + "': tensor too large");
+    // p32, m and v: 12 bytes per element.
+    if (n > BytesLeft(f.get()) / 12) {
+      return Status::DataLoss("checkpoint '" + path + "': tensor exceeds file");
     }
     uint64_t adam_step = 0;
     RATEL_RETURN_IF_ERROR(r.Read(&adam_step, sizeof(adam_step)));

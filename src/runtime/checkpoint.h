@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "runtime/out_of_core_adam.h"
+#include "runtime/async_update_engine.h"
 
 namespace ratel {
 
@@ -20,7 +20,7 @@ namespace ratel {
 namespace checkpoint {
 
 /// Writes the master copies of `names` (in order) from `adam` to `path`.
-Status Save(OutOfCoreAdam& adam, const std::vector<std::string>& names,
+Status Save(AsyncUpdateEngine& adam, const std::vector<std::string>& names,
             const std::string& path);
 
 /// One restored tensor.
@@ -62,7 +62,7 @@ struct TrainState {
 
 /// Non-owning view of one tensor's complete optimizer state — the
 /// zero-copy analogue of TensorState. The pointed-at arrays (typically
-/// published Buffer refs from OutOfCoreAdam::ExportStateBuffers) must
+/// published Buffer refs from AsyncUpdateEngine::ExportStateBuffers) must
 /// stay alive until the save call returns; all three hold `n` floats.
 struct TensorStateView {
   std::string name;

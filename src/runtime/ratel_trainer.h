@@ -12,7 +12,7 @@
 #include "core/replanner.h"
 #include "core/schedule_trace.h"
 #include "model/workload.h"
-#include "runtime/out_of_core_adam.h"
+#include "runtime/async_update_engine.h"
 #include "runtime/thread_pool.h"
 #include "xfer/transfer_engine.h"
 
@@ -209,7 +209,7 @@ class RatelTrainer {
   int64_t global_step() const { return global_step_; }
 
   const StepStats& last_step_stats() const { return last_stats_; }
-  OutOfCoreAdam& optimizer() { return *adam_; }
+  AsyncUpdateEngine& optimizer() { return *adam_; }
 
   /// The schedule the trainer executes, swapped atomically between
   /// steps. Defaults reproduce the classic path exactly (spill
@@ -270,7 +270,7 @@ class RatelTrainer {
   std::unique_ptr<TransferEngine> owned_engine_;
   /// The engine in use — owned_engine_.get() or options_.shared_engine.
   TransferEngine* engine_ = nullptr;
-  std::unique_ptr<OutOfCoreAdam> adam_;
+  std::unique_ptr<AsyncUpdateEngine> adam_;
   /// Online re-planning state (all null/default when disabled).
   std::unique_ptr<WorkloadProfile> workload_;  // planner's model view
   std::unique_ptr<Replanner> replanner_;

@@ -1,21 +1,28 @@
-// AVX2/FMA/F16C backend. This TU compiles with -mavx2 -mfma -mf16c
-// -ffp-contract=off, so the vec8.h primitives lower to real
-// vfmadd/vsqrtps/vcvtph2ps and every FMA in this file is explicit.
+// The kernel source behind both backend tables, built twice with
+// -O3 -ffp-contract=off (src/simd/CMakeLists.txt): with -mavx2 -mfma
+// -mf16c and RATEL_SIMD_AVX2_TABLE as the "avx2" table, and with no ISA
+// flags as the portable "scalar" table. vec8.h lowers each primitive to
+// an AVX2 instruction or to its exact per-lane fallback, and every FMA
+// here is explicit, so both tables compute the same bits.
 //
 // Two families of kernels live here:
-//  - Elementwise + Adam + fp16 conversion: perform the *exact* scalar
-//    operation sequence per element (no FMA, padded tails run the same
-//    instructions as full vectors), so results are bitwise identical
-//    to the scalar backend and independent of chunk grouping.
+//  - Elementwise + Adam + fp16 conversion: the exact plain-loop
+//    operation sequence per element (no FMA; padded tails run the same
+//    instructions as full vectors), so results match the serial
+//    references bitwise for any chunk grouping.
 //  - GEMM / layernorm / GeLU: register-tiled FMA with fixed-tree lane
-//    reductions — deterministic per mode, tolerance-validated against
-//    scalar.
+//    reductions — tolerance-validated against plain loops.
 
 #include <algorithm>
 #include <cmath>
 
 #include "simd/simd.h"
 #include "simd/vec8.h"
+
+#if defined(RATEL_SIMD_AVX2_TABLE) && \
+    !(defined(__AVX2__) && defined(__FMA__) && defined(__F16C__))
+#error "the avx2 table must build with -mavx2 -mfma -mf16c"
+#endif
 
 namespace ratel::simd {
 namespace {
@@ -425,7 +432,7 @@ void GemmTnRows(const float* a, const float* b, float* out, int64_t p0,
 }
 
 // --------------------------------------------------------------------
-// Elementwise (bitwise identical to scalar: single correctly-rounded
+// Elementwise (bitwise identical to a plain loop: single correctly-rounded
 // op per element, padded tails).
 // --------------------------------------------------------------------
 
@@ -482,7 +489,7 @@ void DiffScale(const float* a, const float* b, float s, float* out,
 }
 
 // --------------------------------------------------------------------
-// GeLU (tanh form) — vector polynomial tanh, tolerance vs scalar.
+// GeLU (tanh form) — vector polynomial tanh, tolerance vs std::tanh.
 // --------------------------------------------------------------------
 
 inline F32x8 GeluFwd8(F32x8 v) {
@@ -525,7 +532,7 @@ void GeluBwd(const float* x, const float* g, float* out, int64_t n) {
 
 // --------------------------------------------------------------------
 // LayerNorm rows — 8-lane accumulators + fixed-tree HSum, tolerance
-// vs scalar; deterministic per mode (lane order is data-independent).
+// vs a two-pass loop (lane order is data-independent).
 // --------------------------------------------------------------------
 
 void LayerNormRowFwd(const float* x, const float* gamma, const float* beta,
@@ -615,8 +622,8 @@ void LayerNormRowBwd(const float* x, const float* g, const float* gamma,
 
 // --------------------------------------------------------------------
 // Softmax / cross-entropy rows. The vector parts (max, final divide,
-// p*g) are exact, and the exp + double-denominator pass stays scalar,
-// so these match the scalar backend bitwise.
+// p*g) are exact, and the exp + double-denominator pass stays a plain
+// loop, so these match a plain-loop softmax bitwise.
 // --------------------------------------------------------------------
 
 void SoftmaxRow(const float* x, float* probs, int64_t n) {
@@ -654,7 +661,7 @@ void CeGradRow(const float* probs, int64_t target, float g, float* out,
 }
 
 // --------------------------------------------------------------------
-// fp16 <-> fp32 (hardware-exact conversions; bitwise vs scalar for
+// fp16 <-> fp32 (exact conversions; bitwise vs common/fp16.h for
 // non-NaN values).
 // --------------------------------------------------------------------
 
@@ -680,7 +687,7 @@ void FloatsToHalves(const float* in, Fp16* out, int64_t n) {
 // --------------------------------------------------------------------
 // Adam. Exact scalar operation sequence per element — two-mul+add
 // moment updates (NOT fused), left-associated products — so the
-// result is bitwise identical to the scalar backend for any chunking.
+// result is bitwise identical to StepSerialOut for any chunking.
 // --------------------------------------------------------------------
 
 struct AdamVecCoeffs {
@@ -695,14 +702,14 @@ inline AdamVecCoeffs SplatCoeffs(const AdamCoeffs& c) {
   v.beta2 = Splat(c.beta2);
   v.omb2 = Splat(c.one_minus_beta2);
   v.eps = Splat(c.eps);
-  v.lrwd = Splat(c.lr * c.weight_decay);  // same single rounding as scalar
+  v.lrwd = Splat(c.lr * c.weight_decay);  // same single rounding as serial
   v.step = Splat(c.step_size);
   v.ibc2 = Splat(c.inv_sqrt_bc2);
   v.decay = c.weight_decay != 0.0f;
   return v;
 }
 
-// One 8-lane Adam step; mirrors kernels_scalar.cc line for line.
+// One 8-lane Adam step; mirrors StepSerialOut line for line.
 inline F32x8 AdamLanes(const AdamVecCoeffs& c, F32x8 g, F32x8 p, F32x8& m,
                        F32x8& v) {
   m = c.beta1 * m + c.omb1 * g;
@@ -771,13 +778,20 @@ void AdamStepF16(const AdamCoeffs& c, int64_t n, const Fp16* g16,
 
 }  // namespace
 
+#if defined(RATEL_SIMD_AVX2_TABLE)
 const KernelTable* Avx2Kernels() {
   static const KernelTable table = {
-      "avx2",        GemmNnRows,      GemmTnRows,     Add,
-      Accumulate,    Scale,           Mul,            DiffScale,
-      GeluFwd,       GeluBwd,         LayerNormRowFwd, LayerNormRowBwd,
-      SoftmaxRow,    CeGradRow,       HalvesToFloats, FloatsToHalves,
-      AdamStepF32,   AdamStepF16,
+      "avx2",
+#else
+const KernelTable* ScalarKernels() {
+  static const KernelTable table = {
+      "scalar",
+#endif
+      GemmNnRows,    GemmTnRows,      Add,            Accumulate,
+      Scale,         Mul,             DiffScale,      GeluFwd,
+      GeluBwd,       LayerNormRowFwd, LayerNormRowBwd, SoftmaxRow,
+      CeGradRow,     HalvesToFloats,  FloatsToHalves, AdamStepF32,
+      AdamStepF16,
   };
   return &table;
 }

@@ -7,8 +7,8 @@
 
 namespace ratel::simd {
 
-// Backend tables, defined in their own TUs so each compiles with its
-// own instruction-set flags.
+// Backend tables: the two builds of kernels.cc, each with its own
+// instruction-set flags.
 const KernelTable* ScalarKernels();
 #if !defined(RATEL_SIMD_NO_AVX2)
 const KernelTable* Avx2Kernels();

@@ -9,40 +9,39 @@ namespace ratel::simd {
 
 /// The vectorized compute layer under the hot CPU kernels (GEMM,
 /// layernorm/softmax/cross-entropy row reductions, GeLU, the fused
-/// Adam step). Two backends ship in every binary:
+/// Adam step). One kernel source (kernels.cc, written on vec8.h) builds
+/// into two backend tables:
 ///
-///  - `kScalar`: the plain-loop reference — numerically identical to
-///    the pre-SIMD kernels, element order fixed, no FMA contraction.
-///  - `kAvx2`: explicit 8-wide FMA kernels (GCC/Clang vector
-///    extensions specialized to AVX2/FMA/F16C at compile time).
+///  - `kAvx2`: built with -mavx2 -mfma -mf16c — 8-wide FMA kernels.
+///  - `kScalar`: the same source built with no ISA flags, for hosts
+///    without AVX2+FMA+F16C; vec8.h lowers each primitive to an exact
+///    per-lane fallback (fmaf, sqrtf, software fp16).
 ///
 /// The backend is selected ONCE at startup from the `RATEL_SIMD`
 /// environment variable (`auto` | `avx2` | `scalar`; default `auto` =
 /// AVX2 when the host supports it) and can be overridden explicitly
 /// with `SetMode` (tests, the scalar-vs-SIMD bench A/B).
 ///
-/// Determinism contract, per mode:
-///  - For a fixed mode, every kernel is a pure function of its inputs:
-///    bitwise-identical run-to-run and across any RATEL_THREADS value
-///    (the parallel layer above splits work on chunk boundaries that
-///    never depend on the thread count, and each chunk runs one of
-///    these kernels start-to-finish).
+/// Determinism contract: every kernel is bitwise identical across
+/// modes, run-to-run and at any RATEL_THREADS value, so a checkpoint
+/// saved under one mode resumes bitwise under the other on the same
+/// host. Both builds run the same operation sequence, every operation
+/// is IEEE correctly rounded or has a fixed lane order, and all FMA is
+/// explicit (-ffp-contract=off); the parallel layer above splits work on
+/// chunk boundaries that never depend on the thread count. Across hosts
+/// the results also depend on the libm functions the kernels call
+/// (`expf` in the softmax row), which glibc may pick per CPU; that is
+/// not tested.
 ///  - Elementwise kernels (add/scale/mul/diff_scale/accumulate, the
-///    whole Adam family, the fp16 conversions) carry a stronger
-///    guarantee: the AVX2 path performs the exact scalar operation
-///    sequence per element (no FMA contraction, hardware-exact fp16
-///    conversion), so their results are bitwise identical *across
-///    modes* too — and independent of how a range is split into
-///    chunks, which is what lets the deferred-update pipeline apply a
-///    tensor's chunks in any grouping. (One caveat: NaN gradients may
-///    produce different NaN *payloads* across modes; training never
-///    feeds NaNs through the fp16 casts.)
-///  - Reduction/FMA kernels (GEMM, layernorm, GeLU) differ across
-///    modes within tight tolerance (the AVX2 path uses 8 fixed lane
-///    accumulators combined in a fixed tree order plus fused
-///    multiply-add, which is if anything *more* accurate); the SIMD
-///    test suite pins both the tolerance and the per-mode bitwise
-///    reproducibility.
+///    Adam family, the fp16 conversions) also match their serial
+///    references bitwise (`CpuAdamKernel::StepSerialOut`,
+///    common/fp16.h) for any split of a range into chunks, which lets
+///    the deferred-update pipeline apply a tensor's chunks in any
+///    grouping. (NaN inputs to the fp16 casts may get other NaN
+///    payloads than the software converter; training never feeds them.)
+///  - GEMM, layernorm and GeLU re-associate (fixed lane accumulators,
+///    fused multiply-add, a polynomial tanh): they match a naive loop
+///    within tight tolerance, which simd_test pins.
 enum class Mode {
   kScalar = 0,
   kAvx2 = 1,
@@ -96,7 +95,7 @@ struct KernelTable {
   void (*gemm_tn_rows)(const float* a, const float* b, float* out, int64_t p0,
                        int64_t p1, int64_t m, int64_t k, int64_t n);
 
-  // Elementwise (bitwise identical across modes).
+  // Elementwise (bitwise identical to a plain loop).
   void (*add)(const float* a, const float* b, float* out, int64_t n);
   void (*accumulate)(float* dst, const float* src, int64_t n);  // dst += src
   void (*scale)(const float* a, float s, float* out, int64_t n);
@@ -105,8 +104,8 @@ struct KernelTable {
   void (*diff_scale)(const float* a, const float* b, float s, float* out,
                      int64_t n);
 
-  // GeLU (tanh form). The AVX2 path evaluates tanh through a
-  // polynomial exp — tolerance vs scalar, not bitwise.
+  // GeLU (tanh form), evaluated through a polynomial exp — within
+  // tolerance of std::tanh, bitwise across modes.
   void (*gelu_fwd)(const float* x, float* out, int64_t n);
   void (*gelu_bwd)(const float* x, const float* g, float* out, int64_t n);
 
@@ -129,13 +128,13 @@ struct KernelTable {
   void (*ce_grad_row)(const float* probs, int64_t target, float g, float* out,
                       int64_t n);
 
-  // fp16 <-> fp32 (bitwise identical across modes for non-NaN values;
-  // `scale` multiplies after widening — the gradient unscale).
+  // fp16 <-> fp32 (bitwise identical to common/fp16.h for non-NaN
+  // values; `scale` multiplies after widening — the gradient unscale).
   void (*halves_to_floats)(const Fp16* in, float* out, int64_t n, float scale);
   void (*floats_to_halves)(const float* in, Fp16* out, int64_t n);
 
   /// Fused Adam step over [0, n): fp32 grads. `_out` may alias `_in`;
-  /// `p16_out` may be null. Bitwise identical across modes.
+  /// `p16_out` may be null. Bitwise identical to StepSerialOut.
   void (*adam_step_f32)(const AdamCoeffs& c, int64_t n, const float* g,
                         const float* p_in, const float* m_in,
                         const float* v_in, float* p_out, float* m_out,

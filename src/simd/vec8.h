@@ -1,21 +1,24 @@
 #ifndef RATEL_SIMD_VEC8_H_
 #define RATEL_SIMD_VEC8_H_
 
-// Portable 8-wide float primitives for the SIMD backends, built on the
-// GCC/Clang vector-extension types. The same header compiles in any
-// backend TU; the instruction set it lowers to is chosen by that TU's
-// compile flags (kernels_avx2.cc builds with -mavx2 -mfma -mf16c, so
-// these become real vfmadd/vsqrtps/vcvtph2ps; a TU without those flags
-// gets exact-result fallbacks). Every operation here is either IEEE
-// correctly rounded (add/mul/div/sqrt/fma) or has a fixed lane order
-// (horizontal reductions), so a kernel written against this header is
-// a pure function of its inputs — the per-mode bitwise-determinism
-// contract rests on that.
+// Portable 8-wide float primitives for the SIMD kernels, built on the
+// GCC/Clang vector-extension types. kernels.cc includes this header in
+// both of its builds; the instruction set it lowers to is chosen by
+// that build's flags (the avx2 table builds with -mavx2 -mfma -mf16c,
+// so these become real vfmadd/vsqrtps/vcvtph2ps; the portable scalar
+// table gets exact-result fallbacks). Every operation here is either
+// IEEE correctly rounded (add/mul/div/sqrt/fma) or has a fixed lane
+// order (horizontal reductions), so a kernel written against this
+// header is a pure function of its inputs and computes the same bits
+// in both builds — the cross-mode bitwise contract rests on that.
 //
 // TUs including this header must compile with -ffp-contract=off: all
 // fused multiply-adds must be *explicit* (Fma below), never an
-// optimizer's choice, or the bitwise-across-chunkings guarantee of the
-// elementwise kernels breaks.
+// optimizer's choice, or the bitwise-across-builds guarantee breaks.
+//
+// Everything here has internal linkage: the two builds compile these
+// inline functions under different ISA flags, and the linker must never
+// merge one build's out-of-line copy into the other.
 
 #include <bit>
 #include <cmath>
@@ -29,6 +32,7 @@
 #include "common/fp16.h"
 
 namespace ratel::simd {
+namespace {
 
 typedef float F32x8 __attribute__((vector_size(32)));
 typedef int32_t I32x8 __attribute__((vector_size(32)));
@@ -165,8 +169,7 @@ inline F32x8 Select(I32x8 mask, F32x8 a, F32x8 b) {
 
 /// 8-wide expf: cephes-style base-2 range reduction with a degree-5
 /// polynomial; ~1 ulp relative error over the clamped domain. Used by
-/// the AVX2 GeLU (tanh form) — tolerance-validated against the scalar
-/// reference, never bitwise.
+/// the GeLU (tanh form), which is tolerance-validated against std::tanh.
 inline F32x8 Exp(F32x8 x) {
   const F32x8 kLog2E = Splat(1.44269504088896341f);
   const F32x8 kLn2Hi = Splat(0.693359375f);
@@ -204,6 +207,7 @@ inline F32x8 Tanh(F32x8 x) {
   return (e - Splat(1.0f)) / (e + Splat(1.0f));
 }
 
+}  // namespace
 }  // namespace ratel::simd
 
 #endif  // RATEL_SIMD_VEC8_H_

@@ -149,8 +149,6 @@ bool CodecConfig::any() const {
   return false;
 }
 
-CodecConfig CodecConfig::FromEnv() { return FromEnv(CodecConfig()); }
-
 CodecConfig CodecConfig::FromEnv(CodecConfig base) {
   for (int i = 0; i < kNumFlowClasses; ++i) {
     std::string var = "RATEL_CODEC_";

@@ -144,7 +144,6 @@ struct CodecConfig {
   /// RATEL_CODEC_ACTIVATION_SPILL, RATEL_CODEC_CHECKPOINT,
   /// RATEL_CODEC_DEFERRED_STATE), so any binary can flip codecs
   /// without a rebuild — same pattern as RATEL_FAULT_*.
-  static CodecConfig FromEnv();
   static CodecConfig FromEnv(CodecConfig base);
 };
 

@@ -2,8 +2,8 @@
 //
 // The stall-free update pipeline promises two things at once:
 //   1. *Sync mode is untouched*: with AsyncUpdateOptions{} the engine is
-//      bitwise identical to the classic blocking OutOfCoreAdam — same
-//      arithmetic, same per-flow traffic.
+//      bitwise identical to the classic blocking out-of-core optimizer —
+//      same arithmetic, same per-flow traffic.
 //   2. *Async mode is exact, bounded, and reproducible*: deferring the
 //      tail chunks changes WHEN state is written, never WHAT — the
 //      final state matches sync bitwise, every consumer drains the
@@ -24,7 +24,7 @@
 #include "common/rng.h"
 #include "runtime/checkpoint.h"
 #include "runtime/compute_pool.h"
-#include "runtime/out_of_core_adam.h"
+#include "runtime/async_update_engine.h"
 #include "runtime/ratel_trainer.h"
 
 namespace ratel {
@@ -176,7 +176,7 @@ TEST(AsyncOptimTest, SyncModeMatchesInMemoryChunkedAdamBitwise) {
   AdamConfig cfg;
   cfg.lr = 1e-2;
   cfg.weight_decay = 0.01;
-  OutOfCoreAdam ooc(cfg, engine->get());  // defaults: sync mode
+  AsyncUpdateEngine ooc(cfg, engine->get());  // defaults: sync mode
   EXPECT_FALSE(ooc.async());
   ChunkedCpuAdam ram(cfg);
 
@@ -223,7 +223,7 @@ RunResult RunUpdates(const std::string& tag, const AsyncUpdateOptions& options,
   cfg.weight_decay = 0.05;
   RunResult result;
   {
-    OutOfCoreAdam ooc(cfg, engine->get(), options);
+    AsyncUpdateEngine ooc(cfg, engine->get(), options);
     EXPECT_TRUE(ooc.Register("w", RandomVec(n, 11)).ok());
     for (int step = 1; step <= steps; ++step) {
       EXPECT_TRUE(ooc.StepTensor("w", RandomGrads16(n, 500 + step)).ok());
@@ -313,8 +313,8 @@ TEST(AsyncOptimTest, StalenessBoundEveryFetchSeesTheFullyAppliedStep) {
   opts.async = true;
   opts.hot_fraction = 0.25;
   opts.chunk = 64;
-  OutOfCoreAdam sync_adam(cfg, sync_engine->get());
-  OutOfCoreAdam async_adam(cfg, async_engine->get(), opts);
+  AsyncUpdateEngine sync_adam(cfg, sync_engine->get());
+  AsyncUpdateEngine async_adam(cfg, async_engine->get(), opts);
 
   const std::vector<float> init = RandomVec(kN, 21);
   ASSERT_TRUE(sync_adam.Register("w", init).ok());
@@ -364,8 +364,8 @@ TEST(AsyncOptimTest, ExactUnderDramEvictionPressure) {
   opts.async = true;
   opts.hot_fraction = 0.25;
   opts.chunk = 64;
-  OutOfCoreAdam sync_adam(cfg, sync_engine->get());
-  OutOfCoreAdam async_adam(cfg, async_engine->get(), opts);
+  AsyncUpdateEngine sync_adam(cfg, sync_engine->get());
+  AsyncUpdateEngine async_adam(cfg, async_engine->get(), opts);
 
   const std::vector<std::string> names = {"w0", "w1", "w2"};
   for (size_t t = 0; t < names.size(); ++t) {
@@ -421,8 +421,8 @@ TEST(AsyncOptimTest, OversizedTensorsFallBackToDurableDrain) {
   opts.async = true;
   opts.hot_fraction = 0.25;
   opts.chunk = 64;
-  OutOfCoreAdam sync_adam(cfg, sync_engine->get());
-  OutOfCoreAdam async_adam(cfg, async_engine->get(), opts);
+  AsyncUpdateEngine sync_adam(cfg, sync_engine->get());
+  AsyncUpdateEngine async_adam(cfg, async_engine->get(), opts);
   const std::vector<float> init = RandomVec(kN, 61);
   ASSERT_TRUE(sync_adam.Register("w", init).ok());
   ASSERT_TRUE(async_adam.Register("w", init).ok());
@@ -447,7 +447,7 @@ TEST(AsyncOptimTest, ErrorsSurfaceInAsyncModeToo) {
   ASSERT_TRUE(engine.ok());
   AsyncUpdateOptions opts;
   opts.async = true;
-  OutOfCoreAdam ooc(AdamConfig{}, engine->get(), opts);
+  AsyncUpdateEngine ooc(AdamConfig{}, engine->get(), opts);
   ASSERT_TRUE(ooc.Register("w", {1.0f}).ok());
   EXPECT_EQ(ooc.Register("w", {1.0f}).code(), StatusCode::kAlreadyExists);
   std::vector<Fp16> wrong(3);
@@ -472,7 +472,7 @@ TEST(AsyncOptimTest, FailedRegisterRollsBackSoTheNameStaysUsable) {
   ASSERT_TRUE(engine.ok());
   AsyncUpdateOptions opts;
   opts.async = true;
-  OutOfCoreAdam ooc(AdamConfig{}, engine->get(), opts);
+  AsyncUpdateEngine ooc(AdamConfig{}, engine->get(), opts);
   EXPECT_EQ(ooc.Register("w", {1.0f, 2.0f}).code(), StatusCode::kUnavailable);
   EXPECT_EQ(ooc.Register("w", {1.0f, 2.0f}).code(), StatusCode::kUnavailable);
   std::vector<Fp16> g(2);

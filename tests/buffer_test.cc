@@ -9,7 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "mem/memory_pool.h"
 #include "mem/tier_cache.h"
 #include "storage/block_store.h"
 
@@ -179,42 +178,6 @@ TEST(BufferPoolTest, ConcurrentLeaseAndReleaseStress) {
   BufferPool::Stats stats = pool.stats();
   EXPECT_EQ(stats.outstanding_bytes, 0);
   EXPECT_EQ(stats.returns, stats.leases());
-}
-
-// ---------- MemoryPool thread safety (internal mutex) ----------
-
-TEST(MemoryPoolTest, ConcurrentAllocateFreeFromFourThreads) {
-  MemoryPool pool("host", 1'000'000);
-  constexpr int kThreads = 4;
-  constexpr int kIters = 1000;
-  constexpr int64_t kBytes = 100;  // 4 * 1000 * 100 fits capacity
-  std::atomic<int64_t> failures{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&pool, &failures] {
-      for (int i = 0; i < kIters; ++i) {
-        Result<AllocationId> id = pool.Allocate(kBytes, "stress");
-        if (!id.ok()) {
-          failures.fetch_add(1);
-          continue;
-        }
-        if (i % 2 == 0) {
-          if (!pool.Free(*id).ok()) failures.fetch_add(1);
-        }
-      }
-      pool.ResetPeak();
-      (void)pool.DebugString();
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(failures.load(), 0);
-  // Every thread kept its odd-iteration allocations live.
-  const int64_t kept = kThreads * (kIters / 2);
-  EXPECT_EQ(pool.num_live_allocations(), kept);
-  EXPECT_EQ(pool.used(), kept * kBytes);
-  pool.FreeAll();
-  EXPECT_EQ(pool.used(), 0);
 }
 
 // ---------- TierCache with Buffer entries ----------

@@ -132,7 +132,9 @@ TEST(CostModelTest, RecomputeFlopsMonotoneNonIncreasing) {
 
 // ---------- Convexity property sweep (the Section IV-D proof) ----------
 
-using ConvexityParam = std::tuple<const char*, int, int64_t>;
+// std::string, not const char*: gtest lists a pointer parameter with its
+// address, which would change the ctest test name on every build.
+using ConvexityParam = std::tuple<std::string, int, int64_t>;
 
 class ConvexityTest : public ::testing::TestWithParam<ConvexityParam> {};
 

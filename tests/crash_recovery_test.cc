@@ -1,5 +1,5 @@
 // Crash-consistency + recovery-determinism suite (ctest labels:
-// fault, determinism).
+// fault, determinism, simd).
 //
 // Two layers of guarantee, both proven here:
 //   1. Checkpoint files are *verifiable*: every shard carries a
@@ -9,7 +9,8 @@
 //      checkpoint that still verifies.
 //   2. Recovery is *bitwise-deterministic*: a run that crashes, falls
 //      back past a torn checkpoint, and resumes produces exactly the
-//      losses and master parameters of a run that never crashed.
+//      losses and master parameters of a run that never crashed — also
+//      when it resumes under the other RATEL_SIMD mode.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -26,6 +27,7 @@
 #include "common/rng.h"
 #include "runtime/checkpoint.h"
 #include "runtime/ratel_trainer.h"
+#include "simd/simd.h"
 
 namespace ratel {
 namespace {
@@ -78,14 +80,26 @@ void TruncateFile(const std::string& path, int64_t drop_bytes) {
   ASSERT_EQ(::truncate(path.c_str(), size - drop_bytes), 0);
 }
 
-void FlipByte(const std::string& path, int64_t offset) {
+uint64_t ReadU64(const std::string& path, int64_t offset) {
+  uint64_t v = 0;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return v;
+  if (std::fseek(f, static_cast<long>(offset), SEEK_SET) != 0 ||
+      std::fread(&v, sizeof(v), 1, f) != 1) {
+    v = 0;
+  }
+  std::fclose(f);
+  return v;
+}
+
+void FlipByte(const std::string& path, int64_t offset, int mask = 0x40) {
   std::FILE* f = std::fopen(path.c_str(), "r+b");
   ASSERT_NE(f, nullptr);
   ASSERT_EQ(std::fseek(f, static_cast<long>(offset), SEEK_SET), 0);
   const int c = std::fgetc(f);
   ASSERT_NE(c, EOF);
   ASSERT_EQ(std::fseek(f, static_cast<long>(offset), SEEK_SET), 0);
-  std::fputc(c ^ 0x40, f);
+  std::fputc(c ^ mask, f);
   ASSERT_EQ(std::fclose(f), 0);
 }
 
@@ -167,6 +181,29 @@ TEST(CheckpointV2Test, LoadLatestFallsBackPastATornNewestEpoch) {
   EXPECT_EQ(latest->step, 3);
 }
 
+// A flipped high bit in a shard's element count must fail the shard as
+// kDataLoss before anything is sized from it (here n grows by 2^33, about
+// 100 GB of p32, m and v), so LoadLatest falls back to the older epoch.
+TEST(CheckpointV2Test, CorruptElementCountFallsBackToPreviousEpoch) {
+  const std::string dir = TempDir("bign");
+  ASSERT_TRUE(checkpoint::SaveVersioned(dir, MakeState(0)).ok());
+  ASSERT_TRUE(checkpoint::SaveVersioned(dir, MakeState(1)).ok());
+  // Magic 8, version 4, step 8, count 4, header CRC 4, then the first
+  // shard's name length 4 and name "wte" 3: its n is the u64 at byte 35.
+  const std::string path = checkpoint::VersionedPath(dir, 1);
+  constexpr int64_t kNOffset = 35;
+  ASSERT_EQ(ReadU64(path, kNOffset), 257u);
+  FlipByte(path, kNOffset + 4, /*mask=*/0x02);  // bit 33 (little-endian)
+  ASSERT_EQ(ReadU64(path, kNOffset), 257u + (uint64_t{1} << 33));
+
+  const auto loaded = checkpoint::LoadState(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+  const auto latest = checkpoint::LoadLatest(dir);
+  ASSERT_TRUE(latest.ok()) << latest.status().ToString();
+  EXPECT_EQ(latest->step, 0);
+}
+
 TEST(CheckpointV2Test, LoadLatestOnEmptyOrMissingDirIsNotFound) {
   const std::string dir = TempDir("empty");
   EXPECT_EQ(checkpoint::LoadLatest(dir).status().code(),
@@ -220,6 +257,40 @@ constexpr int kTotalSteps = 6;
 constexpr int kCrashAfter = 3;  // last durable checkpoint
 constexpr int64_t kBatch = 2;
 
+// Trains batches [from, to) of the fixed seed-5 data stream.
+void TrainBatches(RatelTrainer& trainer, const ag::TinyGptConfig& cfg,
+                  int from, int to, std::vector<float>* losses) {
+  Rng rng(5);
+  std::vector<int64_t> ids, targets;
+  for (int step = 0; step < to; ++step) {
+    MakeBatch(rng, kBatch * cfg.seq_len, cfg.vocab_size, &ids, &targets);
+    if (step < from) continue;
+    auto loss = trainer.TrainStep(ids, targets, kBatch);
+    ASSERT_TRUE(loss.ok()) << loss.status().ToString();
+    losses->push_back(*loss);
+  }
+}
+
+// The losses after the resume point and the full optimizer state (P32 +
+// both moments, every tensor) equal the uninterrupted run's bitwise: the
+// crash is invisible to the training trajectory.
+void ExpectSameTrajectory(const std::vector<float>& resumed_losses,
+                          const std::vector<std::vector<float>>& resumed_state,
+                          const std::vector<float>& ref_losses,
+                          const std::vector<std::vector<float>>& ref_state) {
+  ASSERT_EQ(resumed_losses.size(),
+            static_cast<size_t>(kTotalSteps - kCrashAfter));
+  for (size_t i = 0; i < resumed_losses.size(); ++i) {
+    EXPECT_EQ(resumed_losses[i], ref_losses[kCrashAfter + i])
+        << "post-resume step " << kCrashAfter + i;
+  }
+  ASSERT_EQ(resumed_state.size(), ref_state.size());
+  for (size_t i = 0; i < ref_state.size(); ++i) {
+    EXPECT_TRUE(BitwiseEqual(resumed_state[i], ref_state[i]))
+        << "state vector " << i << " diverged";
+  }
+}
+
 TEST(CrashRecoveryTest, ResumeAfterTornCheckpointIsBitwiseIdentical) {
   const ag::TinyGptConfig cfg = SmallConfig();
 
@@ -232,14 +303,7 @@ TEST(CrashRecoveryTest, ResumeAfterTornCheckpointIsBitwiseIdentical) {
     opts.store_dir = TempDir("ref_store");
     auto trainer = RatelTrainer::Create(&model, opts);
     ASSERT_TRUE(trainer.ok()) << trainer.status().ToString();
-    Rng rng(5);
-    std::vector<int64_t> ids, targets;
-    for (int step = 0; step < kTotalSteps; ++step) {
-      MakeBatch(rng, kBatch * cfg.seq_len, cfg.vocab_size, &ids, &targets);
-      auto loss = (*trainer)->TrainStep(ids, targets, kBatch);
-      ASSERT_TRUE(loss.ok()) << loss.status().ToString();
-      ref_losses.push_back(*loss);
-    }
+    TrainBatches(**trainer, cfg, 0, kTotalSteps, &ref_losses);
     EXPECT_EQ((*trainer)->global_step(), kTotalSteps);
     ref_state = ExportAllP32(**trainer, model);
   }
@@ -253,19 +317,15 @@ TEST(CrashRecoveryTest, ResumeAfterTornCheckpointIsBitwiseIdentical) {
     opts.store_dir = TempDir("crash_store");
     auto trainer = RatelTrainer::Create(&model, opts);
     ASSERT_TRUE(trainer.ok());
-    Rng rng(5);
-    std::vector<int64_t> ids, targets;
-    for (int step = 0; step < kCrashAfter + 1; ++step) {
-      MakeBatch(rng, kBatch * cfg.seq_len, cfg.vocab_size, &ids, &targets);
-      auto loss = (*trainer)->TrainStep(ids, targets, kBatch);
-      ASSERT_TRUE(loss.ok());
-      // The first kCrashAfter losses must already match the reference.
-      if (step < static_cast<int>(ref_losses.size())) {
-        EXPECT_EQ(*loss, ref_losses[step]) << "pre-crash step " << step;
-      }
-      if (step == kCrashAfter - 1 || step == kCrashAfter) {
-        ASSERT_TRUE((*trainer)->SaveCheckpoint(ckpt_dir).ok());
-      }
+    std::vector<float> losses;
+    TrainBatches(**trainer, cfg, 0, kCrashAfter, &losses);
+    ASSERT_TRUE((*trainer)->SaveCheckpoint(ckpt_dir).ok());
+    TrainBatches(**trainer, cfg, kCrashAfter, kCrashAfter + 1, &losses);
+    ASSERT_TRUE((*trainer)->SaveCheckpoint(ckpt_dir).ok());
+    // The pre-crash losses already match the reference.
+    ASSERT_EQ(losses.size(), static_cast<size_t>(kCrashAfter + 1));
+    for (size_t i = 0; i < losses.size(); ++i) {
+      EXPECT_EQ(losses[i], ref_losses[i]) << "pre-crash step " << i;
     }
   }
   // The step-4 checkpoint is torn; only the step-3 epoch verifies.
@@ -286,37 +346,78 @@ TEST(CrashRecoveryTest, ResumeAfterTornCheckpointIsBitwiseIdentical) {
     ASSERT_TRUE(resumed_at.ok()) << resumed_at.status().ToString();
     EXPECT_EQ(*resumed_at, kCrashAfter);  // fell back past the torn epoch
     EXPECT_EQ((*trainer)->global_step(), kCrashAfter);
-
-    // Replay the data stream to the crash point, then train on.
-    Rng rng(5);
-    std::vector<int64_t> ids, targets;
-    for (int step = 0; step < kCrashAfter; ++step) {
-      MakeBatch(rng, kBatch * cfg.seq_len, cfg.vocab_size, &ids, &targets);
-    }
-    for (int step = kCrashAfter; step < kTotalSteps; ++step) {
-      MakeBatch(rng, kBatch * cfg.seq_len, cfg.vocab_size, &ids, &targets);
-      auto loss = (*trainer)->TrainStep(ids, targets, kBatch);
-      ASSERT_TRUE(loss.ok());
-      resumed_losses.push_back(*loss);
-    }
+    TrainBatches(**trainer, cfg, kCrashAfter, kTotalSteps, &resumed_losses);
     EXPECT_EQ((*trainer)->global_step(), kTotalSteps);
     resumed_state = ExportAllP32(**trainer, model);
   }
 
   // Post-resume losses are bitwise what the uninterrupted run produced.
-  ASSERT_EQ(resumed_losses.size(),
-            static_cast<size_t>(kTotalSteps - kCrashAfter));
-  for (size_t i = 0; i < resumed_losses.size(); ++i) {
-    EXPECT_EQ(resumed_losses[i], ref_losses[kCrashAfter + i])
-        << "post-resume step " << kCrashAfter + i;
+  ExpectSameTrajectory(resumed_losses, resumed_state, ref_losses, ref_state);
+}
+
+// Restores the process-wide SIMD mode on scope exit.
+class ScopedSimdMode {
+ public:
+  ScopedSimdMode() : saved_(simd::ActiveMode()) {}
+  ~ScopedSimdMode() { simd::SetMode(saved_); }
+
+ private:
+  simd::Mode saved_;
+};
+
+// Resumed ≡ uninterrupted across SIMD modes: a checkpoint saved under
+// avx2 restores under scalar and trains on bitwise like the
+// uninterrupted avx2 run (ctest labels: fault, determinism, simd).
+TEST(CrashRecoveryTest, SaveUnderAvx2ResumeUnderScalarIsBitwise) {
+  if (!simd::HostHasAvx2()) GTEST_SKIP() << "host lacks AVX2";
+  const ScopedSimdMode restore_mode;
+  const ag::TinyGptConfig cfg = SmallConfig();
+  const std::string ckpt_dir = TempDir("xmode_ckpts");
+  ASSERT_TRUE(simd::SetMode(simd::Mode::kAvx2));
+
+  // Reference: the uninterrupted avx2 run.
+  std::vector<float> ref_losses;
+  std::vector<std::vector<float>> ref_state;
+  {
+    ag::TinyGpt model(cfg, /*seed=*/44);
+    TrainerOptions opts;
+    opts.store_dir = TempDir("xmode_ref_store");
+    auto trainer = RatelTrainer::Create(&model, opts);
+    ASSERT_TRUE(trainer.ok()) << trainer.status().ToString();
+    TrainBatches(**trainer, cfg, 0, kTotalSteps, &ref_losses);
+    ref_state = ExportAllP32(**trainer, model);
   }
-  // And so is the full optimizer state (P32 + both moments, every
-  // tensor): the crash is invisible to the training trajectory.
-  ASSERT_EQ(resumed_state.size(), ref_state.size());
-  for (size_t i = 0; i < ref_state.size(); ++i) {
-    EXPECT_TRUE(BitwiseEqual(resumed_state[i], ref_state[i]))
-        << "state vector " << i << " diverged";
+
+  // Under avx2: train to the checkpoint and save.
+  {
+    ag::TinyGpt model(cfg, /*seed=*/44);
+    TrainerOptions opts;
+    opts.store_dir = TempDir("xmode_save_store");
+    auto trainer = RatelTrainer::Create(&model, opts);
+    ASSERT_TRUE(trainer.ok());
+    std::vector<float> losses;
+    TrainBatches(**trainer, cfg, 0, kCrashAfter, &losses);
+    ASSERT_TRUE((*trainer)->SaveCheckpoint(ckpt_dir).ok());
   }
+
+  // Under scalar: restore and train on.
+  ASSERT_TRUE(simd::SetMode(simd::Mode::kScalar));
+  std::vector<float> resumed_losses;
+  std::vector<std::vector<float>> resumed_state;
+  {
+    ag::TinyGpt model(cfg, /*seed=*/44);
+    TrainerOptions opts;
+    opts.store_dir = TempDir("xmode_resume_store");
+    auto trainer = RatelTrainer::Create(&model, opts);
+    ASSERT_TRUE(trainer.ok());
+    auto resumed_at = (*trainer)->RestoreLatestCheckpoint(ckpt_dir);
+    ASSERT_TRUE(resumed_at.ok()) << resumed_at.status().ToString();
+    EXPECT_EQ(*resumed_at, kCrashAfter);
+    TrainBatches(**trainer, cfg, kCrashAfter, kTotalSteps, &resumed_losses);
+    resumed_state = ExportAllP32(**trainer, model);
+  }
+
+  ExpectSameTrajectory(resumed_losses, resumed_state, ref_losses, ref_state);
 }
 
 TEST(CrashRecoveryTest, RestoreWithoutAnyValidCheckpointIsNotFound) {

@@ -2,6 +2,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <set>
 #include <string>
 
@@ -85,7 +86,7 @@ TEST(CheckpointTest, SaveLoadRoundTrip) {
   xfer.chunk_bytes = 4096;
   auto engine = TransferEngine::Open(xfer);
   ASSERT_TRUE(engine.ok());
-  OutOfCoreAdam adam(AdamConfig{}, engine->get());
+  AsyncUpdateEngine adam(AdamConfig{}, engine->get());
   Rng rng(1);
   std::vector<float> w1(100), w2(37);
   for (auto& x : w1) x = static_cast<float>(rng.NextGaussian());
@@ -119,6 +120,30 @@ TEST(CheckpointTest, RejectsGarbageAndMissing) {
   }
   EXPECT_EQ(checkpoint::Load(path).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(CheckpointTest, CorruptCountsFailAsDataLossWithoutAllocating) {
+  // A v1 header claiming 2^32-1 entries, then one entry claiming 2^40
+  // elements: both exceed the bytes in the file and must be rejected
+  // before anything is reserved or resized.
+  auto write_file = [](const std::string& path, uint32_t count,
+                       uint64_t n) {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    const uint32_t version = 1, name_len = 1;
+    std::fwrite("RATELCKP", 1, 8, f);
+    std::fwrite(&version, sizeof(version), 1, f);
+    std::fwrite(&count, sizeof(count), 1, f);
+    std::fwrite(&name_len, sizeof(name_len), 1, f);
+    std::fwrite("w", 1, 1, f);
+    std::fwrite(&n, sizeof(n), 1, f);
+    std::fclose(f);
+  };
+  const std::string path = TempPath("corrupt_counts.ckpt");
+  write_file(path, /*count=*/0xFFFFFFFFu, /*n=*/0);
+  EXPECT_EQ(checkpoint::Load(path).status().code(), StatusCode::kDataLoss);
+  write_file(path, /*count=*/1, /*n=*/uint64_t{1} << 40);
+  EXPECT_EQ(checkpoint::Load(path).status().code(), StatusCode::kDataLoss);
 }
 
 // ---------- TierCache ----------

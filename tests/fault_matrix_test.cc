@@ -22,7 +22,7 @@
 
 #include "common/rng.h"
 #include "runtime/job_manager.h"
-#include "runtime/out_of_core_adam.h"
+#include "runtime/async_update_engine.h"
 #include "storage/fault_injector.h"
 #include "xfer/transfer_engine.h"
 
@@ -356,7 +356,7 @@ std::vector<float> CleanSyncReference(const std::string& tag) {
   TransferOptions opts = FastRetryOptions(TempDir(tag));
   auto engine = TransferEngine::Open(opts);
   EXPECT_TRUE(engine.ok());
-  OutOfCoreAdam adam(AdamConfig{}, engine->get());
+  AsyncUpdateEngine adam(AdamConfig{}, engine->get());
   EXPECT_TRUE(adam.Register("w", InitParams()).ok());
   for (int step = 1; step <= kOptimSteps; ++step) {
     EXPECT_TRUE(adam.StepTensor("w", StepGrads(step)).ok());
@@ -380,7 +380,7 @@ TEST(FaultMatrixTest, DeferredStateWriteErrorsRetryWithoutForegroundRetries) {
   async.hot_fraction = 0.25;
   async.chunk = 64;
   {
-    OutOfCoreAdam adam(AdamConfig{}, engine->get(), async);
+    AsyncUpdateEngine adam(AdamConfig{}, engine->get(), async);
     ASSERT_TRUE(adam.Register("w", InitParams()).ok());
     for (int step = 1; step <= kOptimSteps; ++step) {
       // Every foreground step must complete despite the faulted epochs.
@@ -428,7 +428,7 @@ TEST(FaultMatrixTest, DeadStripeOnDeferredStateRestripesInTheBackground) {
   async.hot_fraction = 0.25;
   async.chunk = 64;
   {
-    OutOfCoreAdam adam(AdamConfig{}, engine->get(), async);
+    AsyncUpdateEngine adam(AdamConfig{}, engine->get(), async);
     ASSERT_TRUE(adam.Register("w", InitParams()).ok());
     for (int step = 1; step <= kOptimSteps; ++step) {
       ASSERT_TRUE(adam.StepTensor("w", StepGrads(step)).ok()) << step;

@@ -224,7 +224,9 @@ TEST(IterationSimTest, MoreSsdsNeverSlower) {
   }
 }
 
-using ModeParam = std::tuple<const char*, int>;
+// std::string, not const char*: gtest lists a pointer parameter with its
+// address, which would change the ctest test name on every build.
+using ModeParam = std::tuple<std::string, int>;
 
 class GradientModeSweep : public ::testing::TestWithParam<ModeParam> {};
 

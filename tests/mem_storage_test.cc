@@ -9,7 +9,6 @@
 
 #include "common/rng.h"
 #include "common/units.h"
-#include "mem/memory_pool.h"
 #include "mem/tier_cache.h"
 #include "storage/block_store.h"
 #include "storage/throttled_channel.h"
@@ -20,69 +19,6 @@ namespace {
 std::string TempDir(const std::string& tag) {
   return ::testing::TempDir() + "/ratel_store_" + tag + "_" +
          std::to_string(::getpid());
-}
-
-// ---------- MemoryPool ----------
-
-TEST(MemoryPoolTest, AllocateAndFree) {
-  MemoryPool pool("gpu", 100);
-  auto a = pool.Allocate(60, "weights");
-  ASSERT_TRUE(a.ok());
-  EXPECT_EQ(pool.used(), 60);
-  EXPECT_EQ(pool.available(), 40);
-  ASSERT_TRUE(pool.Free(*a).ok());
-  EXPECT_EQ(pool.used(), 0);
-}
-
-TEST(MemoryPoolTest, OomWhenOverCapacity) {
-  MemoryPool pool("gpu", 100);
-  ASSERT_TRUE(pool.Allocate(80, "a").ok());
-  auto b = pool.Allocate(30, "b");
-  EXPECT_FALSE(b.ok());
-  EXPECT_EQ(b.status().code(), StatusCode::kOutOfMemory);
-  EXPECT_EQ(pool.used(), 80);  // failed allocation does not leak budget
-}
-
-TEST(MemoryPoolTest, PeakTracksHighWatermark) {
-  MemoryPool pool("host", 1000);
-  auto a = pool.Allocate(400, "a");
-  auto b = pool.Allocate(500, "b");
-  ASSERT_TRUE(a.ok() && b.ok());
-  ASSERT_TRUE(pool.Free(*a).ok());
-  EXPECT_EQ(pool.used(), 500);
-  EXPECT_EQ(pool.peak_used(), 900);
-  pool.ResetPeak();
-  EXPECT_EQ(pool.peak_used(), 500);
-}
-
-TEST(MemoryPoolTest, DoubleFreeIsNotFound) {
-  MemoryPool pool("p", 10);
-  auto a = pool.Allocate(5, "x");
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(pool.Free(*a).ok());
-  EXPECT_EQ(pool.Free(*a).code(), StatusCode::kNotFound);
-}
-
-TEST(MemoryPoolTest, FreeAllResets) {
-  MemoryPool pool("p", 100);
-  ASSERT_TRUE(pool.Allocate(10, "a").ok());
-  ASSERT_TRUE(pool.Allocate(20, "b").ok());
-  pool.FreeAll();
-  EXPECT_EQ(pool.used(), 0);
-  EXPECT_EQ(pool.num_live_allocations(), 0);
-  EXPECT_TRUE(pool.Allocate(100, "c").ok());
-}
-
-TEST(MemoryPoolTest, NegativeAllocationRejected) {
-  MemoryPool pool("p", 100);
-  EXPECT_EQ(pool.Allocate(-1, "bad").status().code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(MemoryPoolTest, ZeroCapacityPoolRejectsEverythingButZero) {
-  MemoryPool pool("empty", 0);
-  EXPECT_TRUE(pool.Allocate(0, "nothing").ok());
-  EXPECT_FALSE(pool.Allocate(1, "something").ok());
 }
 
 // ---------- BlockStore ----------

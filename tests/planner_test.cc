@@ -75,7 +75,9 @@ TEST(ActivationPlannerTest, PlanInternallyConsistent) {
 
 // ---------- Algorithm 1 vs exhaustive search (optimality) ----------
 
-using PlanParam = std::tuple<const char*, int, int64_t, int>;
+// std::string, not const char*: gtest lists a pointer parameter with its
+// address, which would change the ctest test name on every build.
+using PlanParam = std::tuple<std::string, int, int64_t, int>;
 
 class PlannerOptimalityTest : public ::testing::TestWithParam<PlanParam> {};
 

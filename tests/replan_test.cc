@@ -375,8 +375,10 @@ TEST(ReplannerTest, HysteresisFiltersASingleNoisyWindow) {
   Replanner rp(cfg, fx.profile, fx.workload);
   SyntheticFeed feed(&rp);
 
-  for (int i = 0; i < 2; ++i) ASSERT_FALSE(feed.WriteWindow(1e9).has_value());
-  // One 60%-off window: streak 1 < hysteresis 2 — no solve...
+  // The baseline locks at window 2 and its 2-window cooldown has elapsed
+  // by window 4, so only hysteresis can hold the noisy window after it.
+  for (int i = 0; i < 4; ++i) ASSERT_FALSE(feed.WriteWindow(1e9).has_value());
+  // One 60%-off window (window 5): streak 1 < hysteresis 2 — no solve...
   ASSERT_FALSE(feed.WriteWindow(4e8).has_value());
   // ...and recovery resets the streak, so it never fires.
   for (int i = 0; i < 8; ++i) ASSERT_FALSE(feed.WriteWindow(1e9).has_value());

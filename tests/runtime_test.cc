@@ -12,7 +12,7 @@
 
 #include "autograd/transformer.h"
 #include "common/rng.h"
-#include "runtime/out_of_core_adam.h"
+#include "runtime/async_update_engine.h"
 #include "runtime/ratel_trainer.h"
 #include "runtime/thread_pool.h"
 
@@ -161,14 +161,14 @@ TEST(TaskGroupTest, WaitCoversOnlyThisGroupsTasks) {
   EXPECT_TRUE(outsider_done.load());
 }
 
-// ---------- OutOfCoreAdam ----------
+// ---------- AsyncUpdateEngine ----------
 
 TEST(OutOfCoreAdamTest, MatchesInMemoryChunkedAdam) {
   auto engine = OpenEngine("ooc");
   ASSERT_TRUE(engine.ok());
   AdamConfig cfg;
   cfg.lr = 1e-2;
-  OutOfCoreAdam ooc(cfg, engine->get());
+  AsyncUpdateEngine ooc(cfg, engine->get());
   ChunkedCpuAdam ram(cfg);
 
   Rng rng(3);
@@ -197,7 +197,7 @@ TEST(OutOfCoreAdamTest, MatchesInMemoryChunkedAdam) {
 TEST(OutOfCoreAdamTest, P16CopyTracksMaster) {
   auto engine = OpenEngine("p16");
   ASSERT_TRUE(engine.ok());
-  OutOfCoreAdam ooc(AdamConfig{}, engine->get());
+  AsyncUpdateEngine ooc(AdamConfig{}, engine->get());
   ASSERT_TRUE(ooc.Register("w", {0.25f, -0.75f}).ok());
   std::vector<Fp16> p16;
   ASSERT_TRUE(ooc.FetchParams16("w", &p16).ok());
@@ -215,7 +215,7 @@ TEST(OutOfCoreAdamTest, P16CopyTracksMaster) {
 TEST(OutOfCoreAdamTest, TrafficAccountingMatchesTableII) {
   auto engine = OpenEngine("traffic");
   ASSERT_TRUE(engine.ok());
-  OutOfCoreAdam ooc(AdamConfig{}, engine->get());
+  AsyncUpdateEngine ooc(AdamConfig{}, engine->get());
   constexpr int64_t kN = 1000;
   ASSERT_TRUE(ooc.Register("w", std::vector<float>(kN, 0.1f)).ok());
   const TransferStats after_register = (*engine)->stats();
@@ -241,7 +241,7 @@ TEST(OutOfCoreAdamTest, TrafficAccountingMatchesTableII) {
 TEST(OutOfCoreAdamTest, ErrorsSurface) {
   auto engine = OpenEngine("err");
   ASSERT_TRUE(engine.ok());
-  OutOfCoreAdam ooc(AdamConfig{}, engine->get());
+  AsyncUpdateEngine ooc(AdamConfig{}, engine->get());
   ASSERT_TRUE(ooc.Register("w", {1.0f}).ok());
   EXPECT_EQ(ooc.Register("w", {1.0f}).code(), StatusCode::kAlreadyExists);
   std::vector<Fp16> wrong(3);

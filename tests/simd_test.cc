@@ -1,22 +1,27 @@
 // SIMD compute-layer suite (ctest labels: determinism simd).
 //
 // Pins the src/simd contract from both sides:
-//  - the AVX2 backend matches the scalar reference bitwise for every
-//    kernel documented as bitwise (elementwise, fp16 conversion,
-//    softmax/ce rows, the fused Adam steps), and within tight tolerance
-//    for the reduction kernels that legitimately re-associate (GEMM,
-//    layernorm, GeLU's polynomial tanh);
-//  - for a fixed RATEL_SIMD mode, whole-model training stays bitwise
-//    identical across 1/2/4 compute threads (run oversubscribed so the
-//    sweep exercises genuine interleaving even on a 1-core host);
+//  - every kernel is bitwise identical across the two builds of the one
+//    kernel source (avx2 == scalar), and each is still checked against
+//    an independent plain-loop reference: bitwise for the kernels that
+//    keep the plain-loop operation order (elementwise, fp16 conversion,
+//    softmax/ce rows, the fused Adam steps), within tight tolerance for
+//    the ones that re-associate (GEMM, layernorm, GeLU's polynomial
+//    tanh);
+//  - whole-model training is bitwise identical across 1/2/4 compute
+//    threads in each RATEL_SIMD mode (run oversubscribed so the sweep
+//    exercises genuine interleaving even on a 1-core host), and across
+//    the two modes;
 //  - the adaptive dispatch cutoffs flip between inline and pooled
 //    execution exactly at the documented boundary, without affecting
 //    results.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <vector>
 
 #include "autograd/transformer.h"
@@ -60,6 +65,104 @@ void ExpectClose(const std::vector<float>& ref, const std::vector<float>& got,
     const float tol = atol + rtol * std::abs(ref[i]);
     EXPECT_NEAR(ref[i], got[i], tol) << what << " element " << i;
   }
+}
+
+// The modes this host can run: scalar always, avx2 when supported.
+std::vector<simd::Mode> AvailableModes() {
+  std::vector<simd::Mode> modes = {simd::Mode::kScalar};
+  if (simd::HostHasAvx2()) modes.push_back(simd::Mode::kAvx2);
+  return modes;
+}
+
+// ---------------------------------------------------------------------
+// Plain-loop references, independent of src/simd, in double precision.
+
+// out(MxN) += a(MxK) * b(KxN).
+void NaiveGemmNn(const std::vector<float>& a, const std::vector<float>& b,
+                 std::vector<float>& out, int64_t m, int64_t k, int64_t n) {
+  for (int64_t i = 0; i < m; ++i) {
+    for (int64_t j = 0; j < n; ++j) {
+      double acc = 0.0;
+      for (int64_t p = 0; p < k; ++p) {
+        acc += static_cast<double>(a[i * k + p]) * b[p * n + j];
+      }
+      out[i * n + j] = static_cast<float>(out[i * n + j] + acc);
+    }
+  }
+}
+
+// out(KxN) += a(MxK)^T * b(MxN).
+void NaiveGemmTn(const std::vector<float>& a, const std::vector<float>& b,
+                 std::vector<float>& out, int64_t m, int64_t k, int64_t n) {
+  for (int64_t p = 0; p < k; ++p) {
+    for (int64_t j = 0; j < n; ++j) {
+      double acc = 0.0;
+      for (int64_t i = 0; i < m; ++i) {
+        acc += static_cast<double>(a[i * k + p]) * b[i * n + j];
+      }
+      out[p * n + j] = static_cast<float>(out[p * n + j] + acc);
+    }
+  }
+}
+
+constexpr double kGeluC = 0.7978845608028654;  // sqrt(2/pi)
+
+// GeLU, tanh form: 0.5 x (1 + tanh(c (x + 0.044715 x^3))).
+float NaiveGeluFwd(float x) {
+  const double xd = x;
+  return static_cast<float>(
+      0.5 * xd * (1.0 + std::tanh(kGeluC * (xd + 0.044715 * xd * xd * xd))));
+}
+
+float NaiveGeluBwd(float x, float g) {
+  const double xd = x;
+  const double t = std::tanh(kGeluC * (xd + 0.044715 * xd * xd * xd));
+  const double du = kGeluC * (1.0 + 3.0 * 0.044715 * xd * xd);
+  return static_cast<float>(
+      g * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * du));
+}
+
+// Two-pass layernorm of one row, forward and backward.
+struct NaiveLayerNorm {
+  double mean = 0.0;
+  double inv_std = 0.0;
+  std::vector<float> out, dgamma, dbeta, dx;
+};
+
+NaiveLayerNorm NaiveLayerNormRow(const std::vector<float>& x,
+                                 const std::vector<float>& gamma,
+                                 const std::vector<float>& beta,
+                                 const std::vector<float>& g,
+                                 const std::vector<float>& dgamma0,
+                                 const std::vector<float>& dbeta0, float eps) {
+  const size_t n = x.size();
+  NaiveLayerNorm r;
+  for (float v : x) r.mean += v;
+  r.mean /= n;
+  double var = 0.0;
+  for (float v : x) var += (v - r.mean) * (v - r.mean);
+  var /= n;
+  r.inv_std = 1.0 / std::sqrt(var + eps);
+  std::vector<double> xhat(n), dy(n);
+  double sum_dy = 0.0, sum_dy_xhat = 0.0;
+  for (size_t j = 0; j < n; ++j) {
+    xhat[j] = (x[j] - r.mean) * r.inv_std;
+    dy[j] = static_cast<double>(g[j]) * gamma[j];
+    sum_dy += dy[j];
+    sum_dy_xhat += dy[j] * xhat[j];
+  }
+  r.out.resize(n);
+  r.dgamma.resize(n);
+  r.dbeta.resize(n);
+  r.dx.resize(n);
+  for (size_t j = 0; j < n; ++j) {
+    r.out[j] = static_cast<float>(xhat[j] * gamma[j] + beta[j]);
+    r.dgamma[j] = static_cast<float>(dgamma0[j] + g[j] * xhat[j]);
+    r.dbeta[j] = static_cast<float>(dbeta0[j] + g[j]);
+    r.dx[j] = static_cast<float>(
+        r.inv_std * (dy[j] - sum_dy / n - xhat[j] * sum_dy_xhat / n));
+  }
+  return r;
 }
 
 // Saves and restores every piece of process-global kernel state the
@@ -108,158 +211,214 @@ TEST_F(SimdTest, Avx2ModeSelectableIffHostSupportsIt) {
 }
 
 // ---------------------------------------------------------------------
-// AVX2 vs scalar, kernel by kernel. Shapes are deliberately awkward
-// (odd rows/cols) so the 6/4/1-row GEMM blocks and the 16/8/partial
-// column tails all execute.
+// Kernel by kernel: avx2 == scalar bitwise, and each kernel against a
+// plain-loop reference. Shapes are deliberately awkward (odd rows/cols)
+// so the 6/4/1-row GEMM blocks and the 16/8/partial column tails all
+// execute.
 
 TEST_F(SimdTest, GemmNnMatchesScalarWithinTolerance) {
-  if (!simd::HostHasAvx2()) GTEST_SKIP() << "host lacks AVX2";
   const int64_t m = 37, k = 53, n = 41;
   const std::vector<float> a = RandomVec(m * k, 1);
   const std::vector<float> b = RandomVec(k * n, 2);
-  std::vector<float> ref = RandomVec(m * n, 3);  // accumulate semantics
-  std::vector<float> got = ref;
-  simd::KernelsFor(simd::Mode::kScalar)
-      .gemm_nn_rows(a.data(), b.data(), ref.data(), 0, m, k, n);
-  simd::KernelsFor(simd::Mode::kAvx2)
-      .gemm_nn_rows(a.data(), b.data(), got.data(), 0, m, k, n);
-  ExpectClose(ref, got, 1e-4f, 1e-4f, "gemm_nn");
+  const std::vector<float> init = RandomVec(m * n, 3);  // accumulate semantics
+  std::vector<float> ref = init;
+  NaiveGemmNn(a, b, ref, m, k, n);
+  std::vector<std::vector<float>> outs;
+  for (simd::Mode mode : AvailableModes()) {
+    std::vector<float> got = init;
+    simd::KernelsFor(mode).gemm_nn_rows(a.data(), b.data(), got.data(), 0, m,
+                                        k, n);
+    ExpectClose(ref, got, 1e-4f, 1e-4f, simd::ModeName(mode));
+    outs.push_back(std::move(got));
+  }
+  if (outs.size() == 2) {
+    EXPECT_TRUE(BitwiseEqual(outs[0], outs[1]));
+  }
 }
 
 TEST_F(SimdTest, GemmTnMatchesScalarWithinTolerance) {
-  if (!simd::HostHasAvx2()) GTEST_SKIP() << "host lacks AVX2";
   const int64_t m = 29, k = 37, n = 43;
   const std::vector<float> a = RandomVec(m * k, 4);
   const std::vector<float> b = RandomVec(m * n, 5);
-  std::vector<float> ref = RandomVec(k * n, 6);
-  std::vector<float> got = ref;
-  simd::KernelsFor(simd::Mode::kScalar)
-      .gemm_tn_rows(a.data(), b.data(), ref.data(), 0, k, m, k, n);
-  simd::KernelsFor(simd::Mode::kAvx2)
-      .gemm_tn_rows(a.data(), b.data(), got.data(), 0, k, m, k, n);
-  ExpectClose(ref, got, 1e-4f, 1e-4f, "gemm_tn");
+  const std::vector<float> init = RandomVec(k * n, 6);
+  std::vector<float> ref = init;
+  NaiveGemmTn(a, b, ref, m, k, n);
+  std::vector<std::vector<float>> outs;
+  for (simd::Mode mode : AvailableModes()) {
+    std::vector<float> got = init;
+    simd::KernelsFor(mode).gemm_tn_rows(a.data(), b.data(), got.data(), 0, k,
+                                        m, k, n);
+    ExpectClose(ref, got, 1e-4f, 1e-4f, simd::ModeName(mode));
+    outs.push_back(std::move(got));
+  }
+  if (outs.size() == 2) {
+    EXPECT_TRUE(BitwiseEqual(outs[0], outs[1]));
+  }
 }
 
 TEST_F(SimdTest, ElementwiseKernelsAreBitwiseAcrossBackends) {
-  if (!simd::HostHasAvx2()) GTEST_SKIP() << "host lacks AVX2";
   const int64_t n = 1003;  // odd: exercises the partial-vector tail
   const std::vector<float> a = RandomVec(n, 7);
   const std::vector<float> b = RandomVec(n, 8);
-  const auto& sc = simd::KernelsFor(simd::Mode::kScalar);
-  const auto& av = simd::KernelsFor(simd::Mode::kAvx2);
-  std::vector<float> r(n), g(n);
-
-  sc.add(a.data(), b.data(), r.data(), n);
-  av.add(a.data(), b.data(), g.data(), n);
-  EXPECT_TRUE(BitwiseEqual(r, g)) << "add";
-
-  r = a;
-  g = a;
-  sc.accumulate(r.data(), b.data(), n);
-  av.accumulate(g.data(), b.data(), n);
-  EXPECT_TRUE(BitwiseEqual(r, g)) << "accumulate";
-
-  sc.scale(a.data(), 1.37f, r.data(), n);
-  av.scale(a.data(), 1.37f, g.data(), n);
-  EXPECT_TRUE(BitwiseEqual(r, g)) << "scale";
-
-  sc.mul(a.data(), b.data(), r.data(), n);
-  av.mul(a.data(), b.data(), g.data(), n);
-  EXPECT_TRUE(BitwiseEqual(r, g)) << "mul";
-
-  sc.diff_scale(a.data(), b.data(), 0.753f, r.data(), n);
-  av.diff_scale(a.data(), b.data(), 0.753f, g.data(), n);
-  EXPECT_TRUE(BitwiseEqual(r, g)) << "diff_scale";
+  std::vector<float> add(n), acc = a, scale(n), mul(n), diff(n);
+  for (int64_t i = 0; i < n; ++i) {
+    add[i] = a[i] + b[i];
+    acc[i] += b[i];
+    scale[i] = a[i] * 1.37f;
+    mul[i] = a[i] * b[i];
+    diff[i] = (a[i] - b[i]) * 0.753f;
+  }
+  for (simd::Mode mode : AvailableModes()) {
+    const auto& kt = simd::KernelsFor(mode);
+    const char* name = simd::ModeName(mode);
+    std::vector<float> got(n);
+    kt.add(a.data(), b.data(), got.data(), n);
+    EXPECT_TRUE(BitwiseEqual(add, got)) << name << " add";
+    got = a;
+    kt.accumulate(got.data(), b.data(), n);
+    EXPECT_TRUE(BitwiseEqual(acc, got)) << name << " accumulate";
+    kt.scale(a.data(), 1.37f, got.data(), n);
+    EXPECT_TRUE(BitwiseEqual(scale, got)) << name << " scale";
+    kt.mul(a.data(), b.data(), got.data(), n);
+    EXPECT_TRUE(BitwiseEqual(mul, got)) << name << " mul";
+    kt.diff_scale(a.data(), b.data(), 0.753f, got.data(), n);
+    EXPECT_TRUE(BitwiseEqual(diff, got)) << name << " diff_scale";
+  }
 }
 
 TEST_F(SimdTest, GeluMatchesScalarWithinTolerance) {
-  if (!simd::HostHasAvx2()) GTEST_SKIP() << "host lacks AVX2";
   const int64_t n = 517;
   std::vector<float> x = RandomVec(n, 9);
   for (int64_t i = 0; i < n; ++i) x[i] *= 6.0f;  // cover the saturated tails
   const std::vector<float> g = RandomVec(n, 10);
-  const auto& sc = simd::KernelsFor(simd::Mode::kScalar);
-  const auto& av = simd::KernelsFor(simd::Mode::kAvx2);
-  std::vector<float> r(n), o(n);
-  sc.gelu_fwd(x.data(), r.data(), n);
-  av.gelu_fwd(x.data(), o.data(), n);
-  ExpectClose(r, o, 1e-4f, 1e-5f, "gelu_fwd");
-  sc.gelu_bwd(x.data(), g.data(), r.data(), n);
-  av.gelu_bwd(x.data(), g.data(), o.data(), n);
-  ExpectClose(r, o, 1e-4f, 1e-5f, "gelu_bwd");
+  std::vector<float> fwd_ref(n), bwd_ref(n);
+  for (int64_t i = 0; i < n; ++i) {
+    fwd_ref[i] = NaiveGeluFwd(x[i]);
+    bwd_ref[i] = NaiveGeluBwd(x[i], g[i]);
+  }
+  std::vector<std::vector<float>> fwds, bwds;
+  for (simd::Mode mode : AvailableModes()) {
+    const auto& kt = simd::KernelsFor(mode);
+    std::vector<float> fwd(n), bwd(n);
+    kt.gelu_fwd(x.data(), fwd.data(), n);
+    kt.gelu_bwd(x.data(), g.data(), bwd.data(), n);
+    ExpectClose(fwd_ref, fwd, 1e-4f, 1e-5f, "gelu_fwd");
+    ExpectClose(bwd_ref, bwd, 1e-4f, 1e-5f, "gelu_bwd");
+    fwds.push_back(std::move(fwd));
+    bwds.push_back(std::move(bwd));
+  }
+  if (fwds.size() == 2) {
+    EXPECT_TRUE(BitwiseEqual(fwds[0], fwds[1])) << "gelu_fwd";
+    EXPECT_TRUE(BitwiseEqual(bwds[0], bwds[1])) << "gelu_bwd";
+  }
 }
 
 TEST_F(SimdTest, LayerNormRowMatchesScalarWithinTolerance) {
-  if (!simd::HostHasAvx2()) GTEST_SKIP() << "host lacks AVX2";
   const int64_t n = 67;
+  const float eps = 1e-5f;
   const std::vector<float> x = RandomVec(n, 11);
   const std::vector<float> gamma = RandomVec(n, 12);
   const std::vector<float> beta = RandomVec(n, 13);
   const std::vector<float> g = RandomVec(n, 14);
-  const auto& sc = simd::KernelsFor(simd::Mode::kScalar);
-  const auto& av = simd::KernelsFor(simd::Mode::kAvx2);
+  const std::vector<float> dgamma0(n, 0.1f), dbeta0(n, 0.2f);
+  const NaiveLayerNorm ref =
+      NaiveLayerNormRow(x, gamma, beta, g, dgamma0, dbeta0, eps);
 
-  std::vector<float> out_r(n), out_a(n);
-  float mean_r = 0, inv_r = 0, mean_a = 0, inv_a = 0;
-  sc.layernorm_row_fwd(x.data(), gamma.data(), beta.data(), n, 1e-5f,
-                       out_r.data(), &mean_r, &inv_r);
-  av.layernorm_row_fwd(x.data(), gamma.data(), beta.data(), n, 1e-5f,
-                       out_a.data(), &mean_a, &inv_a);
-  EXPECT_NEAR(mean_r, mean_a, 1e-6f + 1e-5f * std::abs(mean_r));
-  EXPECT_NEAR(inv_r, inv_a, 1e-6f + 1e-5f * std::abs(inv_r));
-  ExpectClose(out_r, out_a, 1e-4f, 1e-5f, "layernorm_fwd");
+  // Per mode: out, mean, inv_std, dgamma, dbeta, dx.
+  std::vector<std::vector<float>> results;
+  for (simd::Mode mode : AvailableModes()) {
+    const auto& kt = simd::KernelsFor(mode);
+    std::vector<float> out(n);
+    float mean = 0, inv_std = 0;
+    kt.layernorm_row_fwd(x.data(), gamma.data(), beta.data(), n, eps,
+                         out.data(), &mean, &inv_std);
+    EXPECT_NEAR(ref.mean, mean, 1e-6 + 1e-5 * std::abs(ref.mean));
+    EXPECT_NEAR(ref.inv_std, inv_std, 1e-6 + 1e-5 * std::abs(ref.inv_std));
+    ExpectClose(ref.out, out, 1e-4f, 1e-5f, "layernorm_fwd");
 
-  std::vector<float> dg_r(n, 0.1f), db_r(n, 0.2f), dx_r(n);
-  std::vector<float> dg_a(n, 0.1f), db_a(n, 0.2f), dx_a(n);
-  sc.layernorm_row_bwd(x.data(), g.data(), gamma.data(), mean_r, inv_r, n,
-                       dg_r.data(), db_r.data(), dx_r.data());
-  av.layernorm_row_bwd(x.data(), g.data(), gamma.data(), mean_r, inv_r, n,
-                       dg_a.data(), db_a.data(), dx_a.data());
-  ExpectClose(dg_r, dg_a, 1e-4f, 1e-5f, "layernorm_bwd dgamma");
-  ExpectClose(db_r, db_a, 1e-4f, 1e-5f, "layernorm_bwd dbeta");
-  ExpectClose(dx_r, dx_a, 1e-4f, 1e-5f, "layernorm_bwd dx");
+    std::vector<float> dgamma = dgamma0, dbeta = dbeta0, dx(n);
+    kt.layernorm_row_bwd(x.data(), g.data(), gamma.data(), mean, inv_std, n,
+                         dgamma.data(), dbeta.data(), dx.data());
+    ExpectClose(ref.dgamma, dgamma, 1e-4f, 1e-5f, "layernorm_bwd dgamma");
+    ExpectClose(ref.dbeta, dbeta, 1e-4f, 1e-5f, "layernorm_bwd dbeta");
+    ExpectClose(ref.dx, dx, 1e-4f, 1e-5f, "layernorm_bwd dx");
+    out.push_back(mean);
+    out.push_back(inv_std);
+    for (const auto* v : {&dgamma, &dbeta, &dx}) {
+      out.insert(out.end(), v->begin(), v->end());
+    }
+    results.push_back(std::move(out));
+  }
+  if (results.size() == 2) {
+    EXPECT_TRUE(BitwiseEqual(results[0], results[1]));
+  }
 }
 
 TEST_F(SimdTest, SoftmaxAndCeGradRowsAreBitwiseAcrossBackends) {
-  if (!simd::HostHasAvx2()) GTEST_SKIP() << "host lacks AVX2";
   const int64_t n = 133;
+  const int64_t target = 17;
+  const float g = 0.25f;
   std::vector<float> x = RandomVec(n, 15);
   for (int64_t i = 0; i < n; ++i) x[i] *= 4.0f;
-  const auto& sc = simd::KernelsFor(simd::Mode::kScalar);
-  const auto& av = simd::KernelsFor(simd::Mode::kAvx2);
-  std::vector<float> p_r(n), p_a(n);
-  sc.softmax_row(x.data(), p_r.data(), n);
-  av.softmax_row(x.data(), p_a.data(), n);
-  EXPECT_TRUE(BitwiseEqual(p_r, p_a)) << "softmax_row";
+  // Plain loop: max, exp with a double denominator, divide; then the
+  // cross-entropy gradient p * g, with (p - 1) * g at the target.
+  float maxv = x[0];
+  for (float v : x) maxv = std::max(maxv, v);
+  std::vector<float> probs(n), grad(n);
+  double denom = 0.0;
+  for (int64_t i = 0; i < n; ++i) {
+    probs[i] = std::exp(x[i] - maxv);
+    denom += probs[i];
+  }
+  for (int64_t i = 0; i < n; ++i) {
+    probs[i] /= static_cast<float>(denom);
+    grad[i] = probs[i] * g;
+  }
+  grad[target] = (probs[target] - 1.0f) * g;
 
-  std::vector<float> g_r(n), g_a(n);
-  sc.ce_grad_row(p_r.data(), /*target=*/17, 0.25f, g_r.data(), n);
-  av.ce_grad_row(p_r.data(), /*target=*/17, 0.25f, g_a.data(), n);
-  EXPECT_TRUE(BitwiseEqual(g_r, g_a)) << "ce_grad_row";
+  for (simd::Mode mode : AvailableModes()) {
+    const auto& kt = simd::KernelsFor(mode);
+    std::vector<float> p(n), ce(n);
+    kt.softmax_row(x.data(), p.data(), n);
+    EXPECT_TRUE(BitwiseEqual(probs, p))
+        << simd::ModeName(mode) << " softmax_row";
+    kt.ce_grad_row(probs.data(), target, g, ce.data(), n);
+    EXPECT_TRUE(BitwiseEqual(grad, ce))
+        << simd::ModeName(mode) << " ce_grad_row";
+  }
 }
 
 TEST_F(SimdTest, Fp16ConversionsAreBitwiseAcrossBackends) {
-  if (!simd::HostHasAvx2()) GTEST_SKIP() << "host lacks AVX2";
   const int64_t n = 2051;
+  const float scale = 2.5f;
   const std::vector<Fp16> h = RandomHalves(n, 16);
-  const std::vector<float> f = RandomVec(n, 17);
-  const auto& sc = simd::KernelsFor(simd::Mode::kScalar);
-  const auto& av = simd::KernelsFor(simd::Mode::kAvx2);
-
-  std::vector<float> wr(n), wa(n);
-  sc.halves_to_floats(h.data(), wr.data(), n, 2.5f);
-  av.halves_to_floats(h.data(), wa.data(), n, 2.5f);
-  EXPECT_TRUE(BitwiseEqual(wr, wa)) << "halves_to_floats";
-
-  std::vector<Fp16> nr(n), na(n);
-  sc.floats_to_halves(f.data(), nr.data(), n);
-  av.floats_to_halves(f.data(), na.data(), n);
-  EXPECT_EQ(0, std::memcmp(nr.data(), na.data(), n * sizeof(Fp16)))
-      << "floats_to_halves";
+  std::vector<float> f = RandomVec(n, 17);
+  // Edge cases of the narrowing: signed zero, half subnormals, the
+  // round-to-even boundary, the largest half and overflow to inf.
+  const float edges[] = {-0.0f,   1e-7f,    -3e-6f,  6.1e-5f, 1.00048828125f,
+                         65504.f, 65519.f,  65520.f, -1e30f,  INFINITY};
+  std::copy(std::begin(edges), std::end(edges), f.begin());
+  // Reference: the software converters in common/fp16.h.
+  std::vector<float> widened(n);
+  std::vector<Fp16> narrowed(n);
+  for (int64_t i = 0; i < n; ++i) {
+    widened[i] = HalfToFloat(h[i]) * scale;
+    narrowed[i] = FloatToHalf(f[i]);
+  }
+  for (simd::Mode mode : AvailableModes()) {
+    const auto& kt = simd::KernelsFor(mode);
+    std::vector<float> w(n);
+    kt.halves_to_floats(h.data(), w.data(), n, scale);
+    EXPECT_TRUE(BitwiseEqual(widened, w))
+        << simd::ModeName(mode) << " halves_to_floats";
+    std::vector<Fp16> nh(n);
+    kt.floats_to_halves(f.data(), nh.data(), n);
+    EXPECT_EQ(0, std::memcmp(narrowed.data(), nh.data(), n * sizeof(Fp16)))
+        << simd::ModeName(mode) << " floats_to_halves";
+  }
 }
 
 TEST_F(SimdTest, AdamStepsAreBitwiseAcrossBackendsAndVsSerialReference) {
-  if (!simd::HostHasAvx2()) GTEST_SKIP() << "host lacks AVX2";
   const int64_t n = 1234;
   AdamConfig cfg;
   cfg.lr = 1e-3;
@@ -278,7 +437,7 @@ TEST_F(SimdTest, AdamStepsAreBitwiseAcrossBackendsAndVsSerialReference) {
                          v_ref.data(), h_ref.data());
   }
 
-  for (simd::Mode mode : {simd::Mode::kScalar, simd::Mode::kAvx2}) {
+  for (simd::Mode mode : AvailableModes()) {
     ASSERT_TRUE(simd::SetMode(mode));
     std::vector<float> p = p0, m(n, 0.0f), v(n, 0.0f);
     std::vector<Fp16> h(n);
@@ -302,7 +461,7 @@ TEST_F(SimdTest, AdamStepsAreBitwiseAcrossBackendsAndVsSerialReference) {
   kernel.StepSerialOut(1, n, gw.data(), p16ref.data(), m16ref.data(),
                        v16ref.data(), p16ref.data(), m16ref.data(),
                        v16ref.data(), h16ref.data());
-  for (simd::Mode mode : {simd::Mode::kScalar, simd::Mode::kAvx2}) {
+  for (simd::Mode mode : AvailableModes()) {
     ASSERT_TRUE(simd::SetMode(mode));
     std::vector<float> p = p0, m(n, 0.0f), v(n, 0.0f);
     std::vector<Fp16> h(n);
@@ -337,9 +496,7 @@ TEST_F(SimdTest, Fp16ChunkStepsMatchSerialReferenceBitwise) {
                        v_ref.data(), p_ref.data(), m_ref.data(), v_ref.data(),
                        h_ref.data());
 
-  std::vector<simd::Mode> modes = {simd::Mode::kScalar};
-  if (simd::HostHasAvx2()) modes.push_back(simd::Mode::kAvx2);
-  for (simd::Mode mode : modes) {
+  for (simd::Mode mode : AvailableModes()) {
     ASSERT_TRUE(simd::SetMode(mode));
     std::vector<float> p = p0, m(n, 0.0f), v(n, 0.0f);
     std::vector<Fp16> h(n);
@@ -418,9 +575,7 @@ TrainRun TrainTinyGpt(int threads, int steps) {
 
 TEST_F(SimdTest, TinyGptTrajectoryIsBitwiseAcrossThreadCountsPerMode) {
   SetParallelOversubscribe(true);
-  std::vector<simd::Mode> modes = {simd::Mode::kScalar};
-  if (simd::HostHasAvx2()) modes.push_back(simd::Mode::kAvx2);
-  for (simd::Mode mode : modes) {
+  for (simd::Mode mode : AvailableModes()) {
     ASSERT_TRUE(simd::SetMode(mode));
     const TrainRun t1 = TrainTinyGpt(/*threads=*/1, /*steps=*/3);
     const TrainRun t2 = TrainTinyGpt(/*threads=*/2, /*steps=*/3);
@@ -438,6 +593,28 @@ TEST_F(SimdTest, TinyGptTrajectoryIsBitwiseAcrossThreadCountsPerMode) {
       }
     }
   }
+}
+
+// One source, two builds: a whole TinyGpt trajectory is bitwise
+// identical under avx2 and scalar, so a checkpoint saved under one mode
+// resumes bitwise under the other.
+TEST_F(SimdTest, CrossModeTinyGptTrajectoryIsBitwise) {
+  if (!simd::HostHasAvx2()) GTEST_SKIP() << "host lacks AVX2";
+  ASSERT_TRUE(simd::SetMode(simd::Mode::kScalar));
+  const TrainRun scalar = TrainTinyGpt(/*threads=*/2, /*steps=*/3);
+  ASSERT_TRUE(simd::SetMode(simd::Mode::kAvx2));
+  const TrainRun avx2 = TrainTinyGpt(/*threads=*/2, /*steps=*/3);
+  ASSERT_EQ(scalar.losses.size(), avx2.losses.size());
+  for (size_t i = 0; i < scalar.losses.size(); ++i) {
+    EXPECT_EQ(scalar.losses[i], avx2.losses[i]) << "step " << i + 1;
+  }
+  ASSERT_EQ(scalar.params.size(), avx2.params.size());
+  int differing = 0;
+  for (size_t p = 0; p < scalar.params.size(); ++p) {
+    if (!BitwiseEqual(scalar.params[p], avx2.params[p])) ++differing;
+  }
+  EXPECT_EQ(differing, 0) << "of " << scalar.params.size()
+                          << " parameter tensors differ across modes";
 }
 
 // ---------------------------------------------------------------------

@@ -39,9 +39,11 @@ JOBS="${JOBS:-$(nproc)}"
 SANITIZERS="${SANITIZERS:-thread address}"
 
 # The determinism label additionally runs once per RATEL_SIMD backend:
-# the scalar fallback everywhere, plus the AVX2 backend when the host
-# can execute it (otherwise it is skipped gracefully — the scalar pass
-# still covers the dispatch and threading seams).
+# the portable scalar build of the kernel source everywhere, plus its
+# AVX2 build when the host can execute it (otherwise that pass is
+# skipped; both builds compute the same bits, and the scalar pass still
+# covers the dispatch and threading seams). The scalar pass is the
+# slower one: without hardware FMA its fmaf is a software routine.
 SIMD_MODES="scalar"
 if grep -q avx2 /proc/cpuinfo 2>/dev/null \
     && grep -q fma /proc/cpuinfo 2>/dev/null \
