@@ -1,6 +1,7 @@
 #include "common/buffer.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <mutex>
 #include <unordered_map>
@@ -123,8 +124,12 @@ BufferPool::~BufferPool() = default;
 
 int64_t BufferPool::SizeClassFor(int64_t size) const {
   int64_t cls = min_block_bytes_;
-  while (cls < size) cls *= 2;
-  return cls;
+  while (cls < size && cls < kFineClassBytes) cls *= 2;
+  if (cls >= size) return cls;
+  // size > kFineClassBytes: round up to 1/16 of the octave below it.
+  const int64_t octave = std::bit_floor(static_cast<uint64_t>(size - 1));
+  const int64_t step = octave / 16;
+  return (size + step - 1) / step * step;
 }
 
 Buffer BufferPool::Lease(int64_t size) {

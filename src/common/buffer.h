@@ -78,8 +78,8 @@ class Buffer {
 /// Size-class recycling arena for movement-path staging buffers — the
 /// software stand-in for the pinned host staging pool a real
 /// GPU<->SSD pipeline keeps (SSDTrain's recycled transfer buffers,
-/// MemAscend's pinned-memory economy). Leases round up to a power-of-two
-/// size class and are served LIFO from a per-class free list, so a
+/// MemAscend's pinned-memory economy). Leases round up to a size class
+/// (see SizeClassFor) and are served LIFO from a per-class free list, so a
 /// steady-state training loop whose working set has stabilized performs
 /// **zero** heap allocations on the movement path: every Lease is a
 /// reuse, every release a return.
@@ -102,9 +102,14 @@ class BufferPool {
   /// an empty Buffer without touching the pool.
   Buffer Lease(int64_t size);
 
-  /// Capacity a lease of `size` rounds up to: the smallest power of two
-  /// >= max(size, min_block_bytes).
+  /// Capacity a lease of `size` rounds up to. Up to kFineClassBytes the
+  /// classes are the powers of two >= min_block_bytes; above it each
+  /// octave (2^k, 2^(k+1)] splits into 16 equal steps, so a lease
+  /// wastes at most 1/16 of its size (a 64 KiB payload plus a 32-byte
+  /// frame header takes 68 KiB, not 128 KiB).
   int64_t SizeClassFor(int64_t size) const;
+
+  static constexpr int64_t kFineClassBytes = 2048;
 
   /// Frees every block sitting in the free lists (outstanding leases
   /// are unaffected and still return — to the now-empty lists).

@@ -11,6 +11,7 @@
 #include "runtime/checkpoint.h"
 #include "runtime/prefetcher.h"
 #include "runtime/workload_map.h"
+#include "simd/simd.h"
 #include "xfer/tenant.h"
 
 namespace ratel {
@@ -28,7 +29,18 @@ double NowSeconds() {
 RatelTrainer::RatelTrainer(ag::TinyGpt* model, const TrainerOptions& options)
     : model_(model), options_(options) {}
 
-RatelTrainer::~RatelTrainer() = default;
+RatelTrainer::~RatelTrainer() {
+  // The engine may be shared and outlive this trainer: settle the last
+  // step's spill tickets rather than abandon them there.
+  (void)WaitSpillWrites();
+}
+
+Status RatelTrainer::WaitSpillWrites() {
+  if (spill_writes_.empty()) return Status::Ok();
+  const Status status = engine_->WaitAll(spill_writes_);
+  spill_writes_.clear();
+  return status;
+}
 
 Result<std::unique_ptr<RatelTrainer>> RatelTrainer::Create(
     ag::TinyGpt* model, const TrainerOptions& options) {
@@ -219,8 +231,9 @@ Result<float> RatelTrainer::TrainStep(const std::vector<int64_t>& ids,
       RATEL_RETURN_IF_ERROR(item.status);
       std::vector<float>& dst = var.mutable_value();
       RATEL_CHECK(static_cast<size_t>(item.data.size()) == 2 * dst.size());
-      const Fp16* p16 = reinterpret_cast<const Fp16*>(item.data.data());
-      for (size_t i = 0; i < dst.size(); ++i) dst[i] = HalfToFloat(p16[i]);
+      simd::Kernels().halves_to_floats(
+          reinterpret_cast<const Fp16*>(item.data.data()), dst.data(),
+          static_cast<int64_t>(dst.size()), 1.0f);
     }
   }
   const double t_fetch = NowSeconds();
@@ -247,10 +260,14 @@ Result<float> RatelTrainer::TrainStep(const std::vector<int64_t>& ids,
 
     if (options_.spill_activations) {
       // Swap the saved activations out through the engine after
-      // forward, then back in before backward (A16 of Table II). The
-      // swap-outs are submitted asynchronously and waited as a group
-      // before read-back (the engine orders only resolved writes).
-      // Values round-trip bit-exactly, so numerics are unchanged
+      // forward, then back in before backward (A16 of Table II). Each
+      // node is released as soon as its swap-out is submitted, and
+      // nothing in this step waits for a swap-out to land: the engine
+      // forwards the read-backs from the unresolved writes' payloads,
+      // so the store writes drain behind backward, the optimizer and
+      // the next forward. Only the next spill (same keys) and the
+      // checkpoint paths wait for them (WaitSpillWrites). The values
+      // read back equal a store round trip, so numerics are unchanged
       // (tested).
       std::vector<ag::NodePtr> acts = ag::CollectIntermediateNodes(loss);
       // The plan's spill set. On the classic path (spill_fraction >= 1,
@@ -285,30 +302,25 @@ Result<float> RatelTrainer::TrainStep(const std::vector<int64_t>& ids,
         }
         std::sort(spill_set.begin(), spill_set.end());
       }
+      RATEL_RETURN_IF_ERROR(WaitSpillWrites());
       int64_t spilled = 0;
-      std::vector<TransferEngine::Ticket> spill_writes;
-      spill_writes.reserve(spill_set.size());
+      spill_writes_.reserve(spill_set.size());
       for (size_t i : spill_set) {
         ag::Node& node = *acts[i];
         const int64_t bytes = 4 * node.NumElements();
-        spill_writes.push_back(engine_->SubmitWrite(
+        spill_writes_.push_back(engine_->SubmitWrite(
             FlowClass::kActivationSpill,
             options_.key_namespace + "act/" + std::to_string(i),
             node.value.data(), bytes));
+        // Swap-out submitted: release the "GPU memory".
+        std::vector<float>().swap(node.value);
         spilled += bytes;
       }
-      Status first_spill_error;
-      for (TransferEngine::Ticket t : spill_writes) {
-        Status s = engine_->Wait(t);
-        if (!s.ok() && first_spill_error.ok()) first_spill_error = s;
-      }
-      RATEL_RETURN_IF_ERROR(first_spill_error);
-      // All swap-outs durable: release the "GPU memory".
-      for (size_t i : spill_set) std::vector<float>().swap(acts[i]->value);
 
       // Swap back in: all reads in flight at once, drained in order.
-      // Buffer reads: DRAM-hot activations come back as cache refs and
-      // cold ones land in pooled staging — no per-step heap churn.
+      // Buffer reads: forwarded and DRAM-hot activations come back as
+      // refs and cold ones land in pooled staging — no per-step heap
+      // churn.
       std::deque<Buffer> buffers;
       std::vector<TransferEngine::Ticket> spill_reads;
       spill_reads.reserve(spill_set.size());
@@ -319,11 +331,7 @@ Result<float> RatelTrainer::TrainStep(const std::vector<int64_t>& ids,
             options_.key_namespace + "act/" + std::to_string(i),
             &buffers.back(), 4 * acts[i]->NumElements()));
       }
-      for (size_t k = 0; k < spill_reads.size(); ++k) {
-        Status s = engine_->Wait(spill_reads[k]);
-        if (!s.ok() && first_spill_error.ok()) first_spill_error = s;
-      }
-      RATEL_RETURN_IF_ERROR(first_spill_error);
+      RATEL_RETURN_IF_ERROR(engine_->WaitAll(spill_reads));
       for (size_t k = 0; k < spill_set.size(); ++k) {
         ag::Node& node = *acts[spill_set[k]];
         node.value.resize(node.NumElements());
@@ -364,6 +372,7 @@ Result<float> RatelTrainer::TrainStep(const std::vector<int64_t>& ids,
   // may share the pipeline pool.
   TaskGroup group(pipeline_.get());
 
+  std::vector<float> scaled_grad;  // fp32 staging of the G16 cast
   for (const std::string& name : ArrivalOrder()) {
     // Locate the parameter and convert its gradient to G16.
     ag::Variable var;
@@ -382,10 +391,12 @@ Result<float> RatelTrainer::TrainStep(const std::vector<int64_t>& ids,
     // scale before the fp16 cast (unscaled inside the handler).
     const float cast_scale =
         options_.loss_scale / static_cast<float>(accum);
+    const int64_t n = static_cast<int64_t>(grad.size());
+    const simd::KernelTable& kernels = simd::Kernels();
+    scaled_grad.resize(grad.size());
+    kernels.scale(grad.data(), cast_scale, scaled_grad.data(), n);
     std::vector<Fp16> g16(grad.size());
-    for (size_t i = 0; i < grad.size(); ++i) {
-      g16[i] = FloatToHalf(grad[i] * cast_scale);
-    }
+    kernels.floats_to_halves(scaled_grad.data(), g16.data(), n);
 
     switch (options_.grad_mode) {
       case GradientOffloadMode::kOptimizedActive:
@@ -449,10 +460,12 @@ Result<float> RatelTrainer::TrainStep(const std::vector<int64_t>& ids,
       stats.xfer.Flow(FlowClass::kParamFetch).bytes_written +
       stats.xfer.Flow(FlowClass::kGradState).bytes_written;
   stats.loss = mean_loss;
-  // --- Step boundary: every read/write this step issued has been
-  // waited above, so swapping the schedule here can never invalidate
-  // in-flight I/O; deferred optimizer epochs keep draining through
-  // their per-tensor gates because the plan never touches their keys. ---
+  // --- Step boundary: every read and optimizer write this step issued
+  // has been waited above, so swapping the schedule here can never
+  // invalidate in-flight I/O; the spill writes still draining are
+  // waited before the next spill reuses their keys, and deferred
+  // optimizer epochs keep draining through their per-tensor gates
+  // because the plan never touches their keys. ---
   if (replanner_ != nullptr) {
     const double swap0 = NowSeconds();
     std::optional<ReplanResult> result =
@@ -500,6 +513,7 @@ Result<float> RatelTrainer::TrainStep(const std::vector<int64_t>& ids,
 
 Status RatelTrainer::SaveCheckpoint(const std::string& dir) {
   ScopedTenant tenant_scope(options_.tenant);
+  RATEL_RETURN_IF_ERROR(WaitSpillWrites());
   // Barrier: every deferred tail epoch must have applied and published,
   // and every queued writeback must land, before state is read out —
   // or the snapshot would mix step N and step N-1 tensors (or worse,
@@ -535,6 +549,7 @@ Status RatelTrainer::SaveCheckpoint(const std::string& dir) {
 
 Result<int64_t> RatelTrainer::RestoreLatestCheckpoint(const std::string& dir) {
   ScopedTenant tenant_scope(options_.tenant);
+  RATEL_RETURN_IF_ERROR(WaitSpillWrites());
   RATEL_ASSIGN_OR_RETURN(checkpoint::TrainState state,
                          checkpoint::LoadLatest(dir));
   for (const checkpoint::TensorState& t : state.tensors) {

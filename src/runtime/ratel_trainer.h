@@ -45,6 +45,9 @@ struct TrainerOptions {
   /// True swaps the tape's saved activations (A16) out through the
   /// engine after forward and back in before backward — the activation
   /// leg of the paper's holistic movement, executed with real bytes.
+  /// The swap-out writes drain behind the rest of the step (the
+  /// swap-ins are forwarded from them); the next step's spill and the
+  /// checkpoint calls wait for them.
   bool spill_activations = false;
   /// Micro-batches accumulated per optimizer step (global batch =
   /// micro batch x accumulation). Gradients are averaged.
@@ -264,6 +267,10 @@ class RatelTrainer {
   void InstallPlan(const ActivationPlan& plan, const KnapsackPlan& recompute,
                    const HardwareProfile& profile, int64_t version);
 
+  /// Waits for the activation swap-outs still in flight (the previous
+  /// spill's) and returns the first error among them.
+  Status WaitSpillWrites();
+
   ag::TinyGpt* model_;  // not owned
   TrainerOptions options_;
   /// Engine opened by this trainer; null when attached to a shared one.
@@ -277,6 +284,8 @@ class RatelTrainer {
   ActiveSchedule schedule_;
   double nameplate_bw_s2m_ = 0.0;  // depth scaling reference
   int64_t replans_installed_ = 0;
+  /// Tickets of the last spill's swap-out writes, not yet waited.
+  std::vector<TransferEngine::Ticket> spill_writes_;
   std::unique_ptr<ThreadPool> pipeline_;  // declared last: joins first
   int64_t global_step_ = 0;
   StepStats last_stats_;

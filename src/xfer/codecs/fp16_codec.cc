@@ -2,6 +2,7 @@
 #include <memory>
 
 #include "common/fp16.h"
+#include "simd/simd.h"
 #include "xfer/codec.h"
 
 namespace ratel {
@@ -12,7 +13,9 @@ namespace {
 /// activation spills (the A16 leg is fp16-tolerant by construction —
 /// mixed-precision training already computes on half activations).
 /// Round-to-nearest-even on encode, exact widening on decode, so
-/// half-representable values round-trip bitwise. The trailing
+/// half-representable values round-trip bitwise. Both directions run
+/// the simd table's conversion kernels, which equal common/fp16.h
+/// bitwise for every non-NaN value (a NaN stays a NaN). The trailing
 /// `logical % 4` bytes of a non-float-aligned blob ride along verbatim.
 class Fp16Codec : public Codec {
  public:
@@ -28,12 +31,8 @@ class Fp16Codec : public Codec {
   void EncodePayload(const uint8_t* src, int64_t logical,
                      uint8_t* dst) const override {
     const int64_t floats = logical / 4;
-    for (int64_t i = 0; i < floats; ++i) {
-      float value;
-      std::memcpy(&value, src + i * 4, sizeof(value));
-      const Fp16 half = FloatToHalf(value);
-      std::memcpy(dst + i * 2, &half, sizeof(half));
-    }
+    simd::Kernels().floats_to_halves(reinterpret_cast<const float*>(src),
+                                     reinterpret_cast<Fp16*>(dst), floats);
     const int64_t tail = logical % 4;
     if (tail > 0) {
       std::memcpy(dst + floats * 2, src + floats * 4,
@@ -61,12 +60,9 @@ Status DecodeFp16Payload(const uint8_t* payload, int64_t payload_bytes,
                             std::to_string(payload_bytes) + " bytes, want " +
                             std::to_string(floats * 2 + tail));
   }
-  for (int64_t i = 0; i < floats; ++i) {
-    Fp16 half;
-    std::memcpy(&half, payload + i * 2, sizeof(half));
-    const float value = HalfToFloat(half);
-    std::memcpy(dst + i * 4, &value, sizeof(value));
-  }
+  simd::Kernels().halves_to_floats(reinterpret_cast<const Fp16*>(payload),
+                                   reinterpret_cast<float*>(dst), floats,
+                                   1.0f);
   if (tail > 0) {
     std::memcpy(dst + floats * 4, payload + floats * 2,
                 static_cast<size_t>(tail));

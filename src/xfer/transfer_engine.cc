@@ -51,6 +51,12 @@ IoScheduler::Priority FlowPriority(FlowClass flow) {
   return IoScheduler::Priority::kBackground;
 }
 
+IoScheduler::Priority FlowWritePriority(FlowClass flow) {
+  return flow == FlowClass::kActivationSpill
+             ? IoScheduler::Priority::kBackground
+             : FlowPriority(flow);
+}
+
 int64_t TransferStats::TotalBytesRead() const {
   int64_t total = 0;
   for (const FlowCounters& c : flow) total += c.bytes_read;
@@ -74,6 +80,7 @@ TransferStats Delta(const TransferStats& later, const TransferStats& earlier) {
     out.bytes_read = a.bytes_read - b.bytes_read;
     out.bytes_written = a.bytes_written - b.bytes_written;
     out.bytes_from_cache = a.bytes_from_cache - b.bytes_from_cache;
+    out.bytes_forwarded = a.bytes_forwarded - b.bytes_forwarded;
     out.cache_hits = a.cache_hits - b.cache_hits;
     out.cache_misses = a.cache_misses - b.cache_misses;
     out.read_seconds = a.read_seconds - b.read_seconds;
@@ -160,13 +167,12 @@ TransferEngine::~TransferEngine() {
   sched_.reset();
 }
 
-TransferEngine::Ticket TransferEngine::SubmitWriteImpl(FlowClass flow,
-                                                       const std::string& key,
-                                                       Buffer payload,
-                                                       int64_t staging_copies) {
+TransferEngine::Ticket TransferEngine::SubmitWriteImpl(
+    FlowClass flow, const std::string& key, const uint8_t* logical,
+    int64_t size, Buffer payload, int64_t staging_copies) {
   const TenantId tenant = CurrentTenant();
-  const int64_t size = payload.size();
   const Codec* codec = codecs_.ForFlow(flow);
+  RATEL_CHECK(!payload.empty() || size == 0 || !KeepsLogicalPayload(codec));
   int64_t avoided = 0;
   // Write-through: the DRAM tier takes a *reference* to the published
   // logical payload — visible to same-key reads immediately, and one
@@ -199,20 +205,33 @@ TransferEngine::Ticket TransferEngine::SubmitWriteImpl(FlowClass flow,
     store_bytes = FrameSizeFor(*codec, size);
     const auto enc0 = std::chrono::steady_clock::now();
     store_payload = pool_.Lease(store_bytes);
-    EncodeFrame(*codec, payload.data(), size, store_payload.mutable_data());
+    EncodeFrame(*codec, logical, size, store_payload.mutable_data());
     encode_seconds = SecondsSince(enc0);
     payload.reset();
+  }
+  {
+    // Same-key write ordering: the store must apply this write after the
+    // key's unresolved one, so wait that one out. From then until this
+    // write resolves, same-key reads that miss the DRAM tier are
+    // forwarded from its payload.
+    std::unique_lock<std::mutex> lock(mu_);
+    pending_cv_.wait(lock, [&] { return pending_writes_.count(key) == 0; });
+    pending_writes_.emplace(key, store_payload);
   }
   AcquireInflight(tenant, store_bytes);
   const auto start = std::chrono::steady_clock::now();
   IoScheduler::Ticket io_ticket = sched_->SubmitWrite(
-      key, std::move(store_payload), FlowPriority(flow),
-      [this, flow, tenant, size, store_bytes, start](const IoResult& result) {
+      key, std::move(store_payload), FlowWritePriority(flow),
+      [this, flow, tenant, key, size, store_bytes,
+       start](const IoResult& result) {
         // Hoisted out of the accounting lambda: AccountLocked applies it
         // twice and both copies must receive the identical delta.
         const double elapsed = SecondsSince(start);
         {
           std::lock_guard<std::mutex> lock(mu_);
+          // The store holds this write's outcome now: later reads go
+          // there, and a queued same-key write may proceed.
+          pending_writes_.erase(key);
           AccountLocked(tenant, flow, [&](FlowCounters& c) {
             ++c.writes;
             c.write_seconds += elapsed;
@@ -227,6 +246,7 @@ TransferEngine::Ticket TransferEngine::SubmitWriteImpl(FlowClass flow,
             }
           });
         }
+        pending_cv_.notify_all();
         ReleaseInflight(tenant, store_bytes);
         // Stripes only die on writes; poll here so a wear-out event
         // re-rates the throttled channels within one completion.
@@ -251,17 +271,87 @@ TransferEngine::Ticket TransferEngine::SubmitWrite(FlowClass flow,
                                                    const std::string& key,
                                                    const void* data,
                                                    int64_t size) {
+  const auto* bytes = static_cast<const uint8_t*>(data);
+  // A codec'd flow whose logical bytes no tier keeps encodes straight
+  // from the caller's memory: nothing to stage.
+  if (!KeepsLogicalPayload(codecs_.ForFlow(flow))) {
+    return SubmitWriteImpl(flow, key, bytes, size, Buffer(),
+                           /*staging_copies=*/0);
+  }
   // Legacy pointer API: stage the caller's bytes into one pooled buffer
   // (the single host copy of this write), then share it tier-wide.
   Buffer staged = pool_.Lease(size);
   if (size > 0) std::memcpy(staged.mutable_data(), data, size);
-  return SubmitWriteImpl(flow, key, std::move(staged), /*staging_copies=*/1);
+  const uint8_t* logical = staged.data();
+  return SubmitWriteImpl(flow, key, logical, size, std::move(staged),
+                         /*staging_copies=*/1);
 }
 
 TransferEngine::Ticket TransferEngine::SubmitWrite(FlowClass flow,
                                                    const std::string& key,
                                                    Buffer payload) {
-  return SubmitWriteImpl(flow, key, std::move(payload), /*staging_copies=*/0);
+  const uint8_t* logical = payload.data();
+  const int64_t size = payload.size();
+  return SubmitWriteImpl(flow, key, logical, size, std::move(payload),
+                         /*staging_copies=*/0);
+}
+
+bool TransferEngine::PendingPayload(const std::string& key,
+                                    Buffer* payload) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = pending_writes_.find(key);
+  if (it == pending_writes_.end()) return false;
+  *payload = it->second;
+  return true;
+}
+
+TransferEngine::Ticket TransferEngine::ForwardRead(
+    FlowClass flow, const Buffer& pending, int64_t size,
+    const std::function<int64_t(const Buffer&)>& deliver) {
+  const TenantId tenant = CurrentTenant();
+  const Codec* codec = codecs_.ForFlow(flow);
+  Status status;
+  Buffer logical;
+  double decode_seconds = 0.0;
+  if (codec != nullptr) {
+    // The same frame check and decode a store read's finalize hook runs.
+    const auto dec0 = std::chrono::steady_clock::now();
+    logical = pool_.Lease(size);
+    status = DecodeFrame(pending.data(), pending.size(),
+                         logical.mutable_data(), size);
+    decode_seconds = SecondsSince(dec0);
+  } else if (pending.size() != size) {
+    status = Status::InvalidArgument(
+        "pending write has size " + std::to_string(pending.size()) +
+        ", caller expected " + std::to_string(size));
+  } else {
+    logical = pending;  // raw flow: share the published payload
+  }
+  const int64_t copied = status.ok() ? deliver(logical) : 0;
+  // Like a DRAM hit, a forwarded read adds no read_seconds: those time
+  // store-leg requests, which the replanner turns into bandwidth.
+  std::lock_guard<std::mutex> lock(mu_);
+  AccountLocked(tenant, flow, [&](FlowCounters& c) {
+    ++c.reads;
+    if (cache_ != nullptr) ++c.cache_misses;
+    c.bytes_copied += copied;
+    if (codec != nullptr) {
+      ++c.decodes;
+      c.decode_seconds += decode_seconds;
+      if (!status.ok()) ++c.decode_failures;
+    } else if (copied == 0) {
+      ++c.allocs_avoided;  // served by reference: no alloc, no memcpy
+    }
+    if (status.ok()) {
+      c.bytes_read += size;
+      c.bytes_forwarded += size;
+    } else {
+      ++c.errors;
+    }
+  });
+  Ticket ticket = next_ticket_++;
+  resolved_.emplace(ticket, status);
+  return ticket;
 }
 
 TransferEngine::Ticket TransferEngine::SubmitCodecReadMiss(
@@ -366,6 +456,13 @@ TransferEngine::Ticket TransferEngine::SubmitRead(FlowClass flow,
       return ticket;
     }
   }
+  if (Buffer pending; PendingPayload(key, &pending)) {
+    return ForwardRead(flow, pending, size, [out, size](const Buffer& src) {
+      out->resize(size);
+      if (size > 0) std::memcpy(out->data(), src.data(), size);
+      return size;
+    });
+  }
   if (const Codec* codec = codecs_.ForFlow(flow)) {
     out->resize(size);
     return SubmitCodecReadMiss(flow, key, *codec, size,
@@ -440,6 +537,12 @@ TransferEngine::Ticket TransferEngine::SubmitRead(FlowClass flow,
       resolved_.emplace(ticket, Status::Ok());
       return ticket;
     }
+  }
+  if (Buffer pending; PendingPayload(key, &pending)) {
+    return ForwardRead(flow, pending, size, [out](const Buffer& src) {
+      *out = src;  // zero-copy delivery
+      return int64_t{0};
+    });
   }
   if (const Codec* codec = codecs_.ForFlow(flow)) {
     return SubmitCodecReadMiss(flow, key, *codec, size,
@@ -560,22 +663,9 @@ Status TransferEngine::WaitAll(const std::vector<Ticket>& tickets) {
 }
 
 Status TransferEngine::Drain() {
-  Status status = sched_->Drain();
-  std::vector<IoScheduler::Ticket> io_tickets;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    io_tickets.reserve(inflight_.size());
-    for (const auto& [ticket, io_ticket] : inflight_) {
-      io_tickets.push_back(io_ticket);
-    }
-    inflight_.clear();
-    resolved_.clear();
-  }
-  // Everything has completed; consume the scheduler-side ticket results
-  // so abandoned tickets do not accumulate (errors already folded into
-  // the scheduler's first-error, returned above).
-  for (IoScheduler::Ticket t : io_tickets) (void)sched_->Wait(t);
-  return status;
+  // Every ticket stays with its caller: a drained one resolves at once
+  // in Wait, with its own status.
+  return sched_->Drain();
 }
 
 Status TransferEngine::Write(FlowClass flow, const std::string& key,

@@ -26,9 +26,16 @@
 
 namespace ratel {
 
-/// Scheduling class a flow maps to: fetch/spill traffic stalls the
-/// "GPU", state and checkpoint traffic only has to finish eventually.
+/// Scheduling class a flow's reads map to: fetch/spill traffic stalls
+/// the "GPU", state and checkpoint traffic only has to finish
+/// eventually.
 IoScheduler::Priority FlowPriority(FlowClass flow);
+
+/// Scheduling class a flow's writes map to: FlowPriority, except that
+/// activation-spill writes go at background priority. Every read of an
+/// unresolved write is forwarded from its payload, so no step waits on
+/// a spill write's store leg.
+IoScheduler::Priority FlowWritePriority(FlowClass flow);
 
 /// Cumulative counters of one flow class.
 struct FlowCounters {
@@ -38,6 +45,10 @@ struct FlowCounters {
   int64_t bytes_written = 0;
   /// Portion of bytes_read served by the DRAM tier (no store I/O).
   int64_t bytes_from_cache = 0;
+  /// Portion of bytes_read served from the payload of an unresolved
+  /// same-key write (store-to-load forwarding, no store I/O). Like
+  /// cache hits, these reads stay out of encoded_bytes_read.
+  int64_t bytes_forwarded = 0;
   int64_t cache_hits = 0;
   int64_t cache_misses = 0;
   /// Summed submit-to-completion latency (queueing + service).
@@ -93,7 +104,8 @@ struct FlowCounters {
   }
   double ReadCompressionRatio() const {
     return encoded_bytes_read > 0
-               ? static_cast<double>(bytes_read - bytes_from_cache) /
+               ? static_cast<double>(bytes_read - bytes_from_cache -
+                                     bytes_forwarded) /
                      static_cast<double>(encoded_bytes_read)
                : 1.0;
   }
@@ -161,11 +173,13 @@ struct TransferOptions {
   bool fair_share = true;
   int64_t fair_quantum_bytes = 64 * 1024;
   /// Per-flow transform codecs on the store path (see xfer/codec.h).
-  /// A flow with no codec (the default) runs today's byte-identical
-  /// raw path; a codec'd flow frames/encodes on write and
-  /// CRC-verifies/decodes on read, DRAM tier always holding logical
-  /// bytes. Lossy codecs skip the write-side DRAM admit so the value a
-  /// reader observes never depends on cache residency.
+  /// A flow with no codec (the default) runs the byte-identical raw
+  /// path; a codec'd flow frames/encodes on write and CRC-verifies/
+  /// decodes on read, the DRAM tier always holding logical bytes. Lossy
+  /// codecs skip the write-side DRAM admit, and a read forwarded from an
+  /// unresolved write decodes that write's frame, so the value a reader
+  /// observes is always the store round trip decode(encode(x)) and never
+  /// depends on cache residency or write timing.
   CodecConfig codec;
 };
 
@@ -178,9 +192,16 @@ struct TransferOptions {
 /// write-through (DRAM copy immediately, store write asynchronously).
 ///
 /// Thread-safe. Ordering contract: operations on *different* keys are
-/// unordered; a read of a key observes a prior write of that key once
-/// the write's ticket has resolved (callers serialize per key, which the
-/// runtime's per-tensor handler discipline already guarantees).
+/// unordered. Per key, a read observes the latest write *submitted*
+/// before it (SubmitWrite returned), resolved or not: the engine tracks
+/// each key's unresolved write, and a read that misses the DRAM tier
+/// while one is pending is served from that write's published payload
+/// (store-to-load forwarding; a codec'd flow CRC-checks and decodes the
+/// frame in memory, so the bytes equal a store round trip). A second
+/// write to a key whose previous write is unresolved waits for it at
+/// submit, so the store applies same-key writes in submission order.
+/// A write that fails still served the reads forwarded before it
+/// resolved; its error surfaces on its own ticket.
 ///
 /// Tenancy: every submit is additionally attributed to the calling
 /// thread's CurrentTenant() (see ScopedTenant). The tenant dimension
@@ -209,7 +230,9 @@ class TransferEngine {
   /// Asynchronous write (data staged into one pooled buffer — exactly
   /// one host copy — shared by the DRAM tier and the store path). A
   /// DRAM-tier ref is admitted immediately so same-key reads are
-  /// coherent.
+  /// coherent. A codec'd flow whose logical bytes no tier keeps (lossy
+  /// codec, or no DRAM tier) encodes straight from `data` instead: no
+  /// staging copy. `data` only has to stay valid until this returns.
   Ticket SubmitWrite(FlowClass flow, const std::string& key, const void* data,
                      int64_t size);
 
@@ -251,6 +274,8 @@ class TransferEngine {
   /// Blocks until every submitted transfer resolved; returns the first
   /// store-level error encountered (if any). Idempotent: draining an
   /// already-drained engine is a no-op returning the same status.
+  /// Consumes no ticket: on a shared engine other callers' tickets stay
+  /// theirs, and each still returns its own status from Wait.
   Status Drain();
 
   /// Synchronous conveniences (submit + wait).
@@ -352,14 +377,36 @@ class TransferEngine {
   /// Releases bytes charged by AcquireInflight (from completions).
   void ReleaseInflight(TenantId tenant, int64_t size);
 
+  /// True when a write on a flow with `codec` must keep its logical
+  /// bytes in a published Buffer: the raw store path ships it, and a
+  /// lossless codec admits it to the DRAM tier.
+  bool KeepsLogicalPayload(const Codec* codec) const {
+    return codec == nullptr || (cache_ != nullptr && codec->lossless());
+  }
+
   /// Shared write leg: publishes `payload` to the DRAM tier (by ref)
   /// and the scheduler (by ref). `staging_copies` is the number of host
   /// copies the caller already performed to stage the payload (1 for
   /// the legacy pointer API, 0 for buffer-native). When the flow has a
-  /// codec, the logical payload is framed into a second pooled buffer
-  /// and the *frame* goes to the store.
+  /// codec, the logical bytes at `logical` are framed into a second
+  /// pooled buffer and the *frame* goes to the store; `payload` may then
+  /// be empty when !KeepsLogicalPayload. Waits out an unresolved write
+  /// of the same key first, then records this one for forwarding.
   Ticket SubmitWriteImpl(FlowClass flow, const std::string& key,
-                         Buffer payload, int64_t staging_copies);
+                         const uint8_t* logical, int64_t size, Buffer payload,
+                         int64_t staging_copies);
+
+  /// The store-leg payload (raw bytes or codec frame) of `key`'s
+  /// unresolved write, if there is one.
+  bool PendingPayload(const std::string& key, Buffer* payload) const;
+
+  /// Store-to-load forwarding: serves a read from `pending`, the store
+  /// payload of an unresolved same-key write, exactly as a store read of
+  /// it would (size check, or CRC check + decode for a codec'd flow).
+  /// `deliver` hands the logical bytes to the caller and returns the
+  /// bytes it memcpy'd. The ticket resolves at once.
+  Ticket ForwardRead(FlowClass flow, const Buffer& pending, int64_t size,
+                     const std::function<int64_t(const Buffer&)>& deliver);
 
   /// Codec-path read miss shared by both SubmitRead overloads: fetches
   /// the frame, CRC-verifies + decodes it in the worker's finalize hook
@@ -401,6 +448,10 @@ class TransferEngine {
   std::unordered_map<Ticket, Status> resolved_;
   // In-flight tickets map to the scheduler ticket doing the store I/O.
   std::unordered_map<Ticket, IoScheduler::Ticket> inflight_;
+  // Store-leg payload of each key's unresolved write (at most one per
+  // key: a second write waits on pending_cv_ until the first resolves).
+  std::unordered_map<std::string, Buffer> pending_writes_;
+  std::condition_variable pending_cv_;
   // Dead-stripe count already folded into the channel rates.
   std::atomic<int> seen_dead_stripes_{0};
 };

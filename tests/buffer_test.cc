@@ -69,13 +69,28 @@ TEST(BufferTest, FromVectorAdoptsWithoutCopy) {
 
 // ---------- BufferPool ----------
 
-TEST(BufferPoolTest, SizeClassesArePowersOfTwoAboveMinimum) {
+// Powers of two up to 2 KiB, then 16 steps per octave: every lease
+// wastes at most 1/16 of its size.
+TEST(BufferPoolTest, SizeClassesBoundWasteToASixteenth) {
   BufferPool pool;
   EXPECT_EQ(pool.SizeClassFor(1), BufferPool::kDefaultMinBlockBytes);
   EXPECT_EQ(pool.SizeClassFor(256), 256);
   EXPECT_EQ(pool.SizeClassFor(257), 512);
+  EXPECT_EQ(pool.SizeClassFor(2048), 2048);
+  EXPECT_EQ(pool.SizeClassFor(2049), 2176);
   EXPECT_EQ(pool.SizeClassFor(4096), 4096);
-  EXPECT_EQ(pool.SizeClassFor(5000), 8192);
+  EXPECT_EQ(pool.SizeClassFor(5000), 5120);
+  // A 64 KiB fp16 frame payload plus its 32-byte header: 68 KiB, not
+  // the next power of two.
+  EXPECT_EQ(pool.SizeClassFor((64 << 10) + 32), 68 << 10);
+  for (int64_t size = 1; size <= (1 << 20); size += 97) {
+    const int64_t cls = pool.SizeClassFor(size);
+    ASSERT_GE(cls, size);
+    ASSERT_EQ(pool.SizeClassFor(cls), cls) << "class of size " << size;
+    if (size > BufferPool::kFineClassBytes) {
+      ASSERT_LE(16 * (cls - size), size) << "size " << size;
+    }
+  }
 }
 
 TEST(BufferPoolTest, ReleasedBlocksAreReusedNotReallocated) {

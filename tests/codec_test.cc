@@ -28,6 +28,7 @@
 #include "model/transformer_config.h"
 #include "runtime/dataset.h"
 #include "runtime/ratel_trainer.h"
+#include "simd/simd.h"
 #include "xfer/transfer_engine.h"
 
 namespace ratel {
@@ -220,6 +221,81 @@ TEST(Fp16CodecTest, MatchesScalarHalfConversionOnRandomData) {
     // The codec is exactly FloatToHalf -> HalfToFloat, nothing fancier.
     EXPECT_EQ(out[i], HalfToFloat(FloatToHalf(vals[i]))) << i;
   }
+}
+
+// The codec runs the simd conversion kernels; in every available mode it
+// must equal common/fp16.h bitwise: on all 65,536 half patterns (decode,
+// and encode of their exact float values) and on random non-NaN floats
+// (encode), with NaN staying NaN. 65,539 elements leave a partial vector
+// at the end.
+TEST(Fp16CodecTest, BitwiseEqualToCommonFp16InEverySimdMode) {
+  auto codec = MakeFp16Codec();
+  const simd::Mode saved = simd::ActiveMode();
+  std::vector<simd::Mode> modes = {simd::Mode::kScalar};
+  if (simd::HostHasAvx2()) modes.push_back(simd::Mode::kAvx2);
+
+  std::vector<Fp16> halves(65539);
+  for (size_t i = 0; i < halves.size(); ++i) {
+    halves[i] = static_cast<Fp16>(i & 0xFFFF);
+  }
+  std::vector<float> widened(halves.size());
+  for (size_t i = 0; i < halves.size(); ++i) {
+    widened[i] = HalfToFloat(halves[i]);
+  }
+  Rng rng(23);
+  std::vector<float> randoms(100003);
+  for (float& v : randoms) {
+    // Random bit patterns span every exponent; NaNs are redrawn.
+    do {
+      const uint32_t bits = static_cast<uint32_t>(rng.NextU64());
+      std::memcpy(&v, &bits, sizeof(v));
+    } while (std::isnan(v));
+  }
+
+  for (const simd::Mode mode : modes) {
+    SCOPED_TRACE(simd::ModeName(mode));
+    ASSERT_TRUE(simd::SetMode(mode));
+    // Decode: the half patterns as an fp16 payload behind a frame.
+    {
+      const int64_t logical = static_cast<int64_t>(4 * halves.size());
+      std::vector<uint8_t> frame(FrameSizeFor(*codec, logical));
+      // Encoding the exact widened values reproduces the patterns
+      // (NaNs may come back with another payload; they stay NaN).
+      EncodeFrame(*codec, reinterpret_cast<const uint8_t*>(widened.data()),
+                  logical, frame.data());
+      const auto* encoded = reinterpret_cast<const Fp16*>(
+          frame.data() + kCodecFrameHeaderBytes);
+      std::vector<float> out(halves.size());
+      ASSERT_TRUE(DecodeFrame(frame.data(), frame.size(),
+                              reinterpret_cast<uint8_t*>(out.data()), logical)
+                      .ok());
+      for (size_t i = 0; i < halves.size(); ++i) {
+        if (std::isnan(widened[i])) {
+          ASSERT_TRUE(std::isnan(HalfToFloat(encoded[i]))) << i;
+          ASSERT_TRUE(std::isnan(out[i])) << i;
+          continue;
+        }
+        ASSERT_EQ(encoded[i], halves[i]) << "half pattern " << i;
+        uint32_t got, want;
+        std::memcpy(&got, &out[i], sizeof(got));
+        std::memcpy(&want, &widened[i], sizeof(want));
+        ASSERT_EQ(got, want) << "half pattern " << i;
+      }
+    }
+    // Encode: random non-NaN floats narrow exactly like FloatToHalf.
+    {
+      const int64_t logical = static_cast<int64_t>(4 * randoms.size());
+      std::vector<uint8_t> frame(FrameSizeFor(*codec, logical));
+      EncodeFrame(*codec, reinterpret_cast<const uint8_t*>(randoms.data()),
+                  logical, frame.data());
+      const auto* encoded = reinterpret_cast<const Fp16*>(
+          frame.data() + kCodecFrameHeaderBytes);
+      for (size_t i = 0; i < randoms.size(); ++i) {
+        ASSERT_EQ(encoded[i], FloatToHalf(randoms[i])) << "float " << i;
+      }
+    }
+  }
+  simd::SetMode(saved);
 }
 
 // ---------- top-k codec ----------

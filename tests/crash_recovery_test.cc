@@ -355,6 +355,68 @@ TEST(CrashRecoveryTest, ResumeAfterTornCheckpointIsBitwiseIdentical) {
   ExpectSameTrajectory(resumed_losses, resumed_state, ref_losses, ref_state);
 }
 
+// Activation spill with write-behind: each step's fp16 swap-outs are
+// still in flight when the next step (or a checkpoint) starts. A
+// checkpoint saved between two spilled steps must capture exactly the
+// uninterrupted state, and a fresh trainer resumed from it must train on
+// bitwise like the run that never stopped.
+TEST(CrashRecoveryTest, CheckpointBetweenSpilledStepsResumesBitwise) {
+  const ag::TinyGptConfig cfg = SmallConfig();
+  auto spill_options = [](const std::string& tag) {
+    TrainerOptions opts;
+    opts.store_dir = TempDir(tag);
+    opts.spill_activations = true;
+    opts.codec.spec(FlowClass::kActivationSpill) = "fp16";
+    opts.async_optimizer = true;
+    // A slow write channel keeps each step's swap-outs unresolved into
+    // the next step and across SaveCheckpoint.
+    opts.ssd_write_bandwidth = 4e6;
+    return opts;
+  };
+
+  std::vector<float> ref_losses;
+  std::vector<std::vector<float>> ref_state;
+  {
+    ag::TinyGpt model(cfg, /*seed=*/44);
+    auto trainer = RatelTrainer::Create(&model, spill_options("spill_ref"));
+    ASSERT_TRUE(trainer.ok()) << trainer.status().ToString();
+    TrainBatches(**trainer, cfg, 0, kTotalSteps, &ref_losses);
+    ref_state = ExportAllP32(**trainer, model);
+  }
+
+  const std::string ckpt_dir = TempDir("spill_ckpts");
+  {
+    ag::TinyGpt model(cfg, /*seed=*/44);
+    auto trainer = RatelTrainer::Create(&model, spill_options("spill_save"));
+    ASSERT_TRUE(trainer.ok());
+    std::vector<float> losses;
+    TrainBatches(**trainer, cfg, 0, kCrashAfter, &losses);
+    EXPECT_GT((*trainer)->last_step_stats().activation_bytes_spilled, 0);
+    ASSERT_TRUE((*trainer)->SaveCheckpoint(ckpt_dir).ok());
+    // Saving mid-run does not perturb the run itself.
+    TrainBatches(**trainer, cfg, kCrashAfter, kTotalSteps, &losses);
+    ASSERT_EQ(losses.size(), ref_losses.size());
+    for (size_t i = 0; i < losses.size(); ++i) {
+      EXPECT_EQ(losses[i], ref_losses[i]) << "step " << i;
+    }
+  }
+
+  std::vector<float> resumed_losses;
+  std::vector<std::vector<float>> resumed_state;
+  {
+    ag::TinyGpt model(cfg, /*seed=*/44);
+    auto trainer = RatelTrainer::Create(&model, spill_options("spill_resume"));
+    ASSERT_TRUE(trainer.ok());
+    auto resumed_at = (*trainer)->RestoreLatestCheckpoint(ckpt_dir);
+    ASSERT_TRUE(resumed_at.ok()) << resumed_at.status().ToString();
+    EXPECT_EQ(*resumed_at, kCrashAfter);
+    TrainBatches(**trainer, cfg, kCrashAfter, kTotalSteps, &resumed_losses);
+    resumed_state = ExportAllP32(**trainer, model);
+  }
+
+  ExpectSameTrajectory(resumed_losses, resumed_state, ref_losses, ref_state);
+}
+
 // Restores the process-wide SIMD mode on scope exit.
 class ScopedSimdMode {
  public:

@@ -9,9 +9,11 @@
 #include <stdlib.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -358,6 +360,100 @@ TEST(JobManagerTest, PreemptAndResumeContinueTheTrajectory) {
   EXPECT_EQ(stats.jobs[0].steps_done, kSteps);
   // The resumed run ends on the exact loss of the uninterrupted one.
   EXPECT_EQ(stats.jobs[0].last_loss, uninterrupted_loss);
+}
+
+// A preempted job drains the shared engine for its checkpoint. That
+// drain must leave every other job's tickets with their owners: here a
+// spilling job parks between two steps, its last swap-out writes still
+// unwaited (write-behind), while its neighbor is preempted — and then
+// trains on to the end.
+TEST(JobManagerTest, PreemptingOneJobLeavesAnotherJobsTicketsWaitable) {
+  const ag::TinyGptConfig cfg = SmallConfig();
+  const int64_t kSteps = 4;
+  auto manager_or = JobManager::Create(ManagerOptions("preempt_neighbor"));
+  ASSERT_TRUE(manager_or.ok());
+  JobManager& manager = **manager_or;
+
+  std::mutex mu;
+  std::condition_variable cv;
+  bool spiller_parked = false;
+  bool neighbor_at_step0 = false;
+  bool preempt_issued = false;
+  bool neighbor_preempted = false;
+
+  JobSpec spiller;
+  spiller.name = "spiller";
+  spiller.model = cfg;
+  spiller.seed = 9;
+  spiller.batch = 2;
+  spiller.steps = kSteps;
+  spiller.trainer.spill_activations = true;
+  spiller.trainer.async_optimizer = true;
+  spiller.batch_fn = [&](int64_t step, std::vector<int64_t>* ids,
+                         std::vector<int64_t>* targets) {
+    if (step == 2) {
+      std::unique_lock<std::mutex> lock(mu);
+      spiller_parked = true;
+      cv.notify_all();
+      cv.wait(lock, [&] { return neighbor_preempted; });
+    }
+    FillBatch(step, cfg, 2, ids, targets);
+  };
+
+  JobSpec neighbor;
+  neighbor.name = "neighbor";
+  neighbor.model = cfg;
+  neighbor.seed = 10;
+  neighbor.batch = 2;
+  neighbor.steps = kSteps;
+  neighbor.checkpoint_dir = TempDir("preempt_neighbor_ckpt");
+  neighbor.batch_fn = [&](int64_t step, std::vector<int64_t>* ids,
+                          std::vector<int64_t>* targets) {
+    if (step == 0) {
+      std::unique_lock<std::mutex> lock(mu);
+      neighbor_at_step0 = true;
+      cv.notify_all();
+      cv.wait(lock, [&] { return preempt_issued; });
+    }
+    FillBatch(step, cfg, 2, ids, targets);
+  };
+
+  ASSERT_TRUE(manager.Submit(spiller).ok());
+  ASSERT_TRUE(manager.Submit(neighbor).ok());
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return spiller_parked && neighbor_at_step0; });
+  }
+  ASSERT_TRUE(manager.Preempt("neighbor").ok());
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    preempt_issued = true;
+  }
+  cv.notify_all();
+  // The neighbor trains its step 0, saves its checkpoint (draining the
+  // engine under the spiller's in-flight swap-outs) and parks.
+  for (;;) {
+    const JobManagerStats stats = manager.Stats();
+    ASSERT_EQ(stats.jobs.size(), 2u);
+    if (stats.jobs[1].state == JobState::kPreempted) break;
+    ASSERT_NE(stats.jobs[1].state, JobState::kFinished)
+        << stats.jobs[1].status.ToString();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    neighbor_preempted = true;
+  }
+  cv.notify_all();
+  ASSERT_TRUE(manager.WaitAll().ok());
+
+  const JobManagerStats stats = manager.Stats();
+  EXPECT_EQ(stats.jobs[0].state, JobState::kFinished);
+  EXPECT_TRUE(stats.jobs[0].status.ok()) << stats.jobs[0].status.ToString();
+  EXPECT_EQ(stats.jobs[0].steps_done, kSteps);
+  EXPECT_GT(stats.jobs[0].xfer.Flow(FlowClass::kActivationSpill).writes, 0);
+  EXPECT_EQ(stats.jobs[1].state, JobState::kPreempted);
+  EXPECT_EQ(stats.jobs[1].steps_done, 1);
 }
 
 TEST(JobManagerTest, EnvOverlaysApplyByJobName) {

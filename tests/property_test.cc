@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstring>
 #include <deque>
+#include <iostream>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -413,6 +414,41 @@ TEST(ChecksumPropertyTest, ChainingEqualsOneShotOverTheConcatenation) {
     Crc32cAccumulator acc;
     for (size_t i = 0; i < buf.size(); ++i) acc.Update(&buf[i], 1);
     EXPECT_EQ(acc.value(), whole);
+  }
+}
+
+// Bit-at-a-time CRC-32C: the definition both backends must agree with.
+uint32_t ReferenceCrc32c(const uint8_t* p, size_t size, uint32_t crc) {
+  uint32_t c = ~crc;
+  for (size_t i = 0; i < size; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0x82F63B78u ^ (c >> 1) : c >> 1;
+  }
+  return ~c;
+}
+
+// The SSE4.2 instruction path equals the slice-by-8 table path for every
+// length 0..4097 at every start offset 0..7 (every head/tail split of the
+// 8-byte loops), and the table path equals the bitwise definition.
+TEST(ChecksumPropertyTest, HardwareAndTablePathsAgreeAtEveryLengthAndOffset) {
+  Rng rng(43);
+  std::vector<uint8_t> buf(4097 + 8);
+  for (auto& c : buf) c = static_cast<uint8_t>(rng.NextU64());
+  const bool hardware = checksum_internal::HostHasCrc32cInstruction();
+  if (!hardware) std::cerr << "host lacks SSE4.2: table path only\n";
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 4097; ++len) {
+      const uint8_t* p = buf.data() + offset;
+      const uint32_t seed = static_cast<uint32_t>(len * 2654435761u);
+      const uint32_t table = checksum_internal::Crc32cPortable(p, len, seed);
+      ASSERT_EQ(checksum_internal::Crc32cHardware(p, len, seed), table)
+          << "offset " << offset << " length " << len;
+      ASSERT_EQ(Crc32c(p, len, seed), table);
+      if (len <= 64 || len % 257 == 0) {
+        ASSERT_EQ(table, ReferenceCrc32c(p, len, seed))
+            << "offset " << offset << " length " << len;
+      }
+    }
   }
 }
 

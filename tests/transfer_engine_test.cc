@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/fp16.h"
 #include "common/rng.h"
 
 namespace ratel {
@@ -51,6 +52,13 @@ TEST(TransferEngineTest, FlowClassMetadata) {
             IoScheduler::Priority::kNormal);
   EXPECT_EQ(FlowPriority(FlowClass::kCheckpoint),
             IoScheduler::Priority::kBackground);
+  // Spill writes are never waited in-step (reads are forwarded), so
+  // they queue as background work; every other flow writes at its read
+  // priority.
+  EXPECT_EQ(FlowWritePriority(FlowClass::kActivationSpill),
+            IoScheduler::Priority::kBackground);
+  EXPECT_EQ(FlowWritePriority(FlowClass::kParamFetch),
+            IoScheduler::Priority::kLatencyCritical);
   EXPECT_EQ(FlowPriority(FlowClass::kDeferredState),
             IoScheduler::Priority::kBackground);
 }
@@ -258,18 +266,13 @@ TEST(TransferEngineTest, DrainConsumesAbandonedTickets) {
   ASSERT_TRUE(engine.ok());
   std::vector<uint8_t> data(128, 9);
   std::vector<std::vector<uint8_t>> outs(16);
-  // Never waited any ticket: each Drain settles everything in flight.
-  // The reads go in only after the writes' drain, because a read of a
-  // key observes its write only once that write has resolved.
   for (int i = 0; i < 16; ++i) {
-    (void)(*engine)->SubmitWrite(FlowClass::kCheckpoint,
-                                 "d" + std::to_string(i), data.data(), 128);
+    const std::string key = "d" + std::to_string(i);
+    (void)(*engine)->SubmitWrite(FlowClass::kCheckpoint, key, data.data(),
+                                 128);
+    (void)(*engine)->SubmitRead(FlowClass::kCheckpoint, key, &outs[i], 128);
   }
-  ASSERT_TRUE((*engine)->Drain().ok());
-  for (int i = 0; i < 16; ++i) {
-    (void)(*engine)->SubmitRead(FlowClass::kCheckpoint,
-                                "d" + std::to_string(i), &outs[i], 128);
-  }
+  // Never waited any ticket: Drain settles everything.
   ASSERT_TRUE((*engine)->Drain().ok());
   const TransferStats stats = (*engine)->stats();
   EXPECT_EQ(stats.Flow(FlowClass::kCheckpoint).writes, 16);
@@ -529,9 +532,174 @@ TEST(TransferEngineTest, DrainIsIdempotent) {
   ASSERT_TRUE((*engine)->Drain().ok());
   ASSERT_TRUE((*engine)->Drain().ok());  // drained twice: still fine
   ASSERT_TRUE((*engine)->Drain().ok());  // and on an idle engine
-  // The abandoned ticket was consumed by the first drain.
+  // Draining consumed no ticket: on a shared engine the writer still
+  // holds it, and it waits exactly once.
+  EXPECT_TRUE((*engine)->Wait(t).ok());
   EXPECT_EQ((*engine)->Wait(t).code(), StatusCode::kInvalidArgument);
   EXPECT_TRUE((*engine)->Contains("k"));
+}
+
+// ----- Same-key ordering: store-to-load forwarding -----
+
+// An engine whose store operations on chosen keys can be parked inside
+// the store (FaultInjector::StallOpsOn), so a write is provably
+// unresolved while the test reads its key.
+struct ForwardingRig {
+  explicit ForwardingRig(const std::string& tag, const std::string& codec,
+                         FaultConfig faults = {})
+      : injector(faults) {
+    TransferOptions opts;
+    opts.dir = TempDir(tag);
+    opts.num_stripes = 2;
+    opts.chunk_bytes = 4096;
+    opts.io_workers = 2;
+    opts.fault_injector = &injector;
+    opts.codec.spec(FlowClass::kActivationSpill) = codec;
+    auto engine_or = TransferEngine::Open(opts);
+    EXPECT_TRUE(engine_or.ok()) << engine_or.status().ToString();
+    engine = std::move(engine_or).value();
+  }
+
+  FaultInjector injector;
+  std::unique_ptr<TransferEngine> engine;
+};
+
+std::vector<float> RandomFloats(uint64_t seed, size_t n) {
+  Rng rng(seed);
+  std::vector<float> out(n);
+  for (float& v : out) v = static_cast<float>(rng.NextGaussian());
+  return out;
+}
+
+// A read issued while its write is parked in the store returns, bitwise,
+// what a read after the write resolved returns — on a raw flow and
+// through the fp16 codec (where both are decode(encode(x)), not x).
+TEST(TransferEngineForwardingTest, ForwardedReadEqualsAResolvedRead) {
+  for (const std::string codec : {"", "fp16"}) {
+    SCOPED_TRACE("codec '" + codec + "'");
+    ForwardingRig rig("fwd" + codec, codec);
+    TransferEngine& engine = *rig.engine;
+    const std::vector<float> values = RandomFloats(11, 1001);
+    const int64_t bytes = static_cast<int64_t>(4 * values.size());
+    rig.injector.StallOpsOn("act");
+    const auto write = engine.SubmitWrite(FlowClass::kActivationSpill, "act",
+                                          values.data(), bytes);
+    rig.injector.WaitForStalled(1);  // the store write is in progress
+
+    Buffer forwarded;
+    std::vector<uint8_t> forwarded_vec;
+    ASSERT_TRUE(engine
+                    .Wait(engine.SubmitRead(FlowClass::kActivationSpill, "act",
+                                            &forwarded, bytes))
+                    .ok());
+    ASSERT_TRUE(engine
+                    .Wait(engine.SubmitRead(FlowClass::kActivationSpill, "act",
+                                            &forwarded_vec, bytes))
+                    .ok());
+    const FlowCounters before = engine.stats().Flow(FlowClass::kActivationSpill);
+    EXPECT_EQ(before.bytes_forwarded, 2 * bytes);
+    EXPECT_EQ(before.encoded_bytes_read, 0);
+    EXPECT_EQ(before.writes, 0);  // still unresolved
+
+    rig.injector.ReleaseStalled();
+    ASSERT_TRUE(engine.Wait(write).ok());
+    Buffer resolved;
+    ASSERT_TRUE(engine
+                    .Wait(engine.SubmitRead(FlowClass::kActivationSpill, "act",
+                                            &resolved, bytes))
+                    .ok());
+    ASSERT_EQ(forwarded.size(), bytes);
+    ASSERT_EQ(resolved.size(), bytes);
+    EXPECT_EQ(std::memcmp(forwarded.data(), resolved.data(), bytes), 0);
+    EXPECT_EQ(std::memcmp(forwarded_vec.data(), resolved.data(), bytes), 0);
+    if (codec.empty()) {
+      EXPECT_EQ(std::memcmp(resolved.data(), values.data(), bytes), 0);
+    }
+    // The forwarded reads moved no store bytes, so the store-leg ledger
+    // still reconciles exactly.
+    const TransferStats stats = engine.stats();
+    const FlowCounters& c = stats.Flow(FlowClass::kActivationSpill);
+    EXPECT_EQ(c.bytes_forwarded, 2 * bytes);
+    EXPECT_EQ(c.encoded_bytes_read, stats.store_bytes_read);
+    EXPECT_EQ(c.bytes_read, 3 * bytes);
+  }
+}
+
+// A write that ultimately fails still served the reads forwarded before
+// it resolved; the failure surfaces on the write's own ticket.
+TEST(TransferEngineForwardingTest, ForwardingSurvivesAnInjectedWriteFault) {
+  FaultConfig faults;
+  faults.write_error_every = 1;  // every attempt fails: the write gives up
+  ForwardingRig rig("fwdfault", "fp16", faults);
+  TransferEngine& engine = *rig.engine;
+  const std::vector<float> values = RandomFloats(12, 257);
+  const int64_t bytes = static_cast<int64_t>(4 * values.size());
+  std::vector<Fp16> halves(values.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    halves[i] = FloatToHalf(values[i]);
+  }
+  rig.injector.StallOpsOn("act");
+  const auto write = engine.SubmitWrite(FlowClass::kActivationSpill, "act",
+                                        values.data(), bytes);
+  rig.injector.WaitForStalled(1);
+  Buffer forwarded;
+  ASSERT_TRUE(engine
+                  .Wait(engine.SubmitRead(FlowClass::kActivationSpill, "act",
+                                          &forwarded, bytes))
+                  .ok());
+  ASSERT_EQ(forwarded.size(), bytes);
+  const auto* got = reinterpret_cast<const float*>(forwarded.data());
+  for (size_t i = 0; i < values.size(); ++i) {
+    ASSERT_EQ(got[i], HalfToFloat(halves[i])) << "element " << i;
+  }
+  rig.injector.ReleaseStalled();
+  EXPECT_EQ(engine.Wait(write).code(), StatusCode::kUnavailable);
+  const FlowCounters c = engine.stats().Flow(FlowClass::kActivationSpill);
+  EXPECT_EQ(c.errors, 1);
+  EXPECT_EQ(c.giveups, 1);
+  // Resolved and failed: the key is gone from the forwarding table, so
+  // a read now goes to the store, which never received the value.
+  Buffer after;
+  EXPECT_FALSE(engine
+                   .Wait(engine.SubmitRead(FlowClass::kActivationSpill, "act",
+                                           &after, bytes))
+                   .ok());
+  EXPECT_EQ(engine.stats().Flow(FlowClass::kActivationSpill).bytes_forwarded,
+            bytes);
+}
+
+// Write after write, 4 workers, no DRAM tier: a read issued right after
+// the second write sees it, and so does a read after both resolved (the
+// store applied them in submission order).
+TEST(TransferEngineForwardingTest, WriteAfterWriteReadsTheNewerValue) {
+  auto engine = OpenEngine("waw", /*cache_bytes=*/0, /*workers=*/4);
+  ASSERT_TRUE(engine.ok());
+  constexpr int kTrials = 10000;
+  constexpr int64_t kBytes = 64;
+  int newer_forwarded = 0;
+  int newer_stored = 0;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    const std::vector<uint8_t> older(kBytes, static_cast<uint8_t>(2 * trial));
+    const std::vector<uint8_t> newer(kBytes,
+                                     static_cast<uint8_t>(2 * trial + 1));
+    const auto w1 = (*engine)->SubmitWrite(FlowClass::kCheckpoint, "waw",
+                                           older.data(), kBytes);
+    const auto w2 = (*engine)->SubmitWrite(FlowClass::kCheckpoint, "waw",
+                                           newer.data(), kBytes);
+    std::vector<uint8_t> early;
+    const auto r = (*engine)->SubmitRead(FlowClass::kCheckpoint, "waw",
+                                         &early, kBytes);
+    ASSERT_TRUE((*engine)->WaitAll({w1, w2, r}).ok());
+    std::vector<uint8_t> late;
+    ASSERT_TRUE((*engine)
+                    ->Wait((*engine)->SubmitRead(FlowClass::kCheckpoint, "waw",
+                                                 &late, kBytes))
+                    .ok());
+    newer_forwarded += early == newer ? 1 : 0;
+    newer_stored += late == newer ? 1 : 0;
+  }
+  EXPECT_EQ(newer_forwarded, kTrials);
+  EXPECT_EQ(newer_stored, kTrials);
 }
 
 }  // namespace
