@@ -12,7 +12,7 @@
 // decomposes into (a) the planner-driven spill set — Algorithm 1 moves
 // only the inter-block minimum through the store instead of everything,
 // available from the initial solve — and (b) the post-kill
-// recalibration, which re-anchors the plan and deepens the P16 prefetch
+// recalibration, which re-anchors the plan and deepens the parameter prefetch
 // to match the degraded device. Acceptance (real run only): the
 // closed-loop run's post-kill steady state reaches >= 1.3x the
 // no-replan steady-state tokens/s, the kill run re-solves at least

@@ -68,12 +68,15 @@ int main(int argc, char** argv) {
       noise[i] = static_cast<float>(rng.NextGaussian());
       noisy[i] = clean[i] + sigma * noise[i];
     }
-    // Fetch the current P16 copies (forward swap-in), mixed precision.
-    std::vector<Fp16> p16;
+    // Forward swap-in, mixed precision: fetch each master copy and
+    // narrow it to the fp16 weights the forward pass runs on.
+    std::vector<float> p32;
     for (auto& [name, var] : model.parameters()) {
-      RATEL_CHECK_OK(adam.FetchParams16(name, &p16));
+      RATEL_CHECK_OK(adam.FetchMasterParams(name, &p32));
       auto& dst = var.mutable_value();
-      for (size_t i = 0; i < p16.size(); ++i) dst[i] = HalfToFloat(p16[i]);
+      for (size_t i = 0; i < p32.size(); ++i) {
+        dst[i] = HalfToFloat(FloatToHalf(p32[i]));
+      }
     }
     model.ZeroGrads();
     ag::Variable loss = model.Loss(noisy, noise, batch);

@@ -1,10 +1,10 @@
 // Real end-to-end fine-tuning through the Ratel runtime: a small GPT is
 // trained with genuine forward/backward passes (src/autograd) while every
 // model-state tensor lives *out of core* in the striped block store — the
-// P16 copies are fetched before each forward pass (optionally via the
-// DRAM tier cache) and gradients drive the out-of-core CPU Adam handler
-// per tensor in backward arrival order (active gradient offloading,
-// Section IV-C). Activations are spilled to the store between forward
+// fp32 master copies are fetched and narrowed to the fp16 weights before
+// each forward pass (optionally via the DRAM tier cache) and gradients
+// drive the out-of-core CPU Adam handler per tensor in backward arrival
+// order (active gradient offloading, Section IV-C). Activations are spilled to the store between forward
 // and backward (the A16 leg of Table II).
 //
 // The task is synthetic but learnable (predict (3*id+1) mod V); the run

@@ -62,22 +62,17 @@ Replanner::Replanner(const ReplanConfig& config, const HardwareProfile& profile,
   CostModel cm(profile_, *workload_);
   cm.SetActivationCompressionRatio(last_compression_);
   plan_ = ActivationPlanner(cm).Plan();
-  recompute_ = SolveRecomputeKnapsack(
-      workload_->activation_units(),
-      std::max<int64_t>(0, profile_.mem_avail_m - plan_.a_g2m));
 }
 
-bool Replanner::AggregateWindow(double* read_bw, double* write_bw,
-                                double* compression) const {
+bool Replanner::AggregateWindow(const TransferStats& window, double* read_bw,
+                                double* write_bw, double* compression) const {
   double enc_read = 0.0, enc_written = 0.0;
-  double read_s = 0.0, write_s = 0.0;
-  for (int f = 0; f < kNumFlowClasses; ++f) {
-    const FlowWindow w = observer_.Last(static_cast<FlowClass>(f));
-    enc_read += static_cast<double>(w.encoded_bytes_read);
-    enc_written += static_cast<double>(w.encoded_bytes_written);
-    read_s += w.read_seconds;
-    write_s += w.write_seconds;
+  for (const FlowCounters& c : window.flow) {
+    enc_read += static_cast<double>(c.encoded_bytes_read);
+    enc_written += static_cast<double>(c.encoded_bytes_written);
   }
+  const double read_s = window.store_read_busy_seconds;
+  const double write_s = window.store_write_busy_seconds;
   *read_bw = read_s > 0.0 ? enc_read / read_s : 0.0;
   *write_bw = write_s > 0.0 ? enc_written / write_s : 0.0;
   // Compression uses the cumulative spill-flow counters (a ratio, so a
@@ -89,13 +84,15 @@ bool Replanner::AggregateWindow(double* read_bw, double* write_bw,
 
 std::optional<ReplanResult> Replanner::Observe(const TransferStats& cumulative,
                                                double now_seconds) {
-  const int64_t n = observer_.Advance(cumulative, now_seconds);
   std::lock_guard<std::mutex> lock(mu_);
+  const TransferStats previous = observer_.latest();
+  const int64_t n = observer_.Advance(cumulative, now_seconds);
   if (n == windows_) return std::nullopt;  // epoch start: nothing closed
   windows_ = n;
 
   double read_bw = 0.0, write_bw = 0.0, compression = 1.0;
-  const bool carried = AggregateWindow(&read_bw, &write_bw, &compression);
+  const bool carried = AggregateWindow(Delta(cumulative, previous), &read_bw,
+                                       &write_bw, &compression);
   if (carried) last_compression_ = compression;
   if (read_bw > 0.0) {
     ewma_read_bw_ = read_seen_ ? config_.ewma_alpha * read_bw +
@@ -176,13 +173,7 @@ ReplanResult Replanner::SolveLocked(double read_scale, double write_scale,
 
   CostModel cm(calibrated, *workload_);
   cm.SetActivationCompressionRatio(compression);
-  ActivationPlan plan = ActivationPlanner(cm).Plan();
-  KnapsackPlan recompute = SolveRecomputeKnapsack(
-      workload_->activation_units(),
-      std::max<int64_t>(0, calibrated.mem_avail_m - plan.a_g2m));
-
-  plan_ = plan;
-  recompute_ = recompute;
+  plan_ = ActivationPlanner(cm).Plan();
   profile_ = calibrated;
   if (read_seen_) baseline_read_bw_ = ewma_read_bw_;
   if (write_seen_) baseline_write_bw_ = ewma_write_bw_;
@@ -198,7 +189,6 @@ ReplanResult Replanner::SolveLocked(double read_scale, double write_scale,
 
   ReplanResult result;
   result.activation = plan_;
-  result.recompute = recompute_;
   result.calibrated = profile_;
   result.deviation = deviation;
   result.solve_index = resolves_;
@@ -208,11 +198,6 @@ ReplanResult Replanner::SolveLocked(double read_scale, double write_scale,
 ActivationPlan Replanner::current_plan() const {
   std::lock_guard<std::mutex> lock(mu_);
   return plan_;
-}
-
-KnapsackPlan Replanner::current_recompute() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return recompute_;
 }
 
 HardwareProfile Replanner::current_profile() const {

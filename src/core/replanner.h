@@ -10,7 +10,6 @@
 #include "core/activation_planner.h"
 #include "core/cost_model.h"
 #include "core/hardware_profile.h"
-#include "core/recompute_knapsack.h"
 #include "model/workload.h"
 #include "xfer/flow_window.h"
 
@@ -47,12 +46,11 @@ struct ReplanConfig {
   static ReplanConfig FromEnv(ReplanConfig base);
 };
 
-/// One re-solved schedule: the activation plan and recompute choices to
-/// install at the next step boundary, plus the calibrated profile that
-/// produced them (persistable via profile_io to seed the next run).
+/// One re-solved schedule: the activation plan to install at the next
+/// step boundary, plus the calibrated profile that produced it
+/// (persistable via profile_io to seed the next run).
 struct ReplanResult {
   ActivationPlan activation;
-  KnapsackPlan recompute;
   HardwareProfile calibrated;
   /// Relative deviation that triggered the solve (e.g. 0.47 = observed
   /// bandwidth 47% away from the baseline the old plan assumed).
@@ -74,23 +72,28 @@ struct ReplanObservation {
   bool baseline_locked = false;
 };
 
-/// Closes Ratel's planning loop online, SSDTrain-style: Algorithm 1 and
-/// the recompute knapsack solve once from a static HardwareProfile, but
-/// the runtime drifts — stripes die, tenants come and go, codecs change
-/// effective bandwidth. The Replanner watches windowed per-flow
-/// TransferStats (FlowObserver), detects when observed SSD bandwidth
-/// deviates from what the current plan assumed, calibrates the profile,
-/// and re-runs CostModel + ActivationPlanner + RecomputeKnapsack. The
-/// caller (RatelTrainer) installs the result only at a step boundary.
+/// Closes Ratel's planning loop online, SSDTrain-style: Algorithm 1
+/// solves once from a static HardwareProfile, but the runtime drifts —
+/// stripes die, tenants come and go, codecs change effective bandwidth.
+/// The Replanner watches windowed per-flow TransferStats
+/// (FlowObserver), detects when observed SSD bandwidth deviates from
+/// what the current plan assumed, calibrates the profile, and re-runs
+/// CostModel + ActivationPlanner. The caller (RatelTrainer) installs the
+/// result only at a step boundary.
 ///
-/// Drift is measured against the *observed* baseline locked after
-/// warmup (and re-anchored at every solve) rather than against
-/// nameplate profile numbers: submit-to-completion latency includes
-/// queueing, so absolute service bandwidth is biased low under load —
-/// but the bias is stable, and drift relative to the loop's own history
-/// is exactly the signal "the world changed since this plan was made".
-/// Consequence: a drift-free run performs zero re-solves by
-/// construction.
+/// A window's bandwidth sample is store-leg bytes per second of store
+/// *busy* time (TransferStats::store_{read,write}_busy_seconds), not per
+/// second of summed submit-to-completion latency: that sum grows with
+/// queue depth, which moves with CPU load and submit timing as much as
+/// with the device — under load it can dilute a halved array bandwidth
+/// to a deviation below the trigger threshold. Busy time still carries
+/// per-request fixed costs (syscalls, wake-ups), so absolute numbers
+/// read low for tiny requests — which is why drift is measured against
+/// the *observed* baseline locked after warmup (and re-anchored at every
+/// solve) rather than against nameplate numbers: drift relative to the
+/// loop's own history is exactly the signal "the world changed since
+/// this plan was made". Consequence: a drift-free run performs zero
+/// re-solves by construction.
 ///
 /// Thread-safe; in practice called from the training thread at step
 /// boundaries.
@@ -110,7 +113,6 @@ class Replanner {
 
   /// The plan currently in force (initial solve or latest re-solve).
   ActivationPlan current_plan() const;
-  KnapsackPlan current_recompute() const;
   /// Profile the current plan was solved from (nameplate until the
   /// first re-solve, calibrated after).
   HardwareProfile current_profile() const;
@@ -119,11 +121,12 @@ class Replanner {
   const ReplanConfig& config() const { return config_; }
 
  private:
-  /// Aggregates the latest closed window across flows into one
-  /// read-side and one write-side service-bandwidth sample; returns
-  /// false when the window moved no store bytes on either side.
-  bool AggregateWindow(double* read_bw, double* write_bw,
-                       double* compression) const;
+  /// Aggregates one closed window (the delta of two cumulative
+  /// snapshots) into one read-side and one write-side bandwidth sample:
+  /// store-leg bytes across flows per second of store busy time.
+  /// Returns false when the store was never busy in the window.
+  bool AggregateWindow(const TransferStats& window, double* read_bw,
+                       double* write_bw, double* compression) const;
 
   /// Re-solves from a profile calibrated by observed/baseline ratios.
   /// Caller holds mu_.
@@ -138,7 +141,6 @@ class Replanner {
 
   mutable std::mutex mu_;
   ActivationPlan plan_;
-  KnapsackPlan recompute_;
   HardwareProfile profile_;  // the plan's profile (calibrated on solve)
   // Observed-bandwidth EWMAs aggregated across flows (the replanner's
   // own aggregation: per-window totals, not per-flow).

@@ -45,14 +45,6 @@ std::string AsyncUpdateEngine::VarKey(const std::string& name) const {
   return options_.key_namespace + "v/" + name;
 }
 
-std::string AsyncUpdateEngine::P16Key(const std::string& name) const {
-  return options_.key_namespace + "p16/" + name;
-}
-
-std::string AsyncUpdateEngine::Params16Key(const std::string& name) const {
-  return P16Key(name);
-}
-
 AsyncUpdateEngine::AsyncUpdateEngine(const AdamConfig& config,
                                      TransferEngine* engine,
                                      const AsyncUpdateOptions& options)
@@ -138,21 +130,16 @@ Status AsyncUpdateEngine::Register(const std::string& name,
   Buffer p32 = pool.Lease(4 * n);
   Buffer m0 = pool.Lease(4 * n);
   Buffer v0 = pool.Lease(4 * n);
-  Buffer p16 = pool.Lease(2 * n);
   if (n > 0) {
     std::memcpy(p32.mutable_data(), initial_params.data(), 4 * n);
     std::memset(m0.mutable_data(), 0, 4 * n);
     std::memset(v0.mutable_data(), 0, 4 * n);
-    Fp16* p16_out = reinterpret_cast<Fp16*>(p16.mutable_data());
-    for (int64_t i = 0; i < n; ++i) p16_out[i] = FloatToHalf(initial_params[i]);
   }
   const std::vector<TransferEngine::Ticket> tickets = {
       engine_->SubmitWrite(FlowClass::kGradState, P32Key(name),
                            std::move(p32)),
       engine_->SubmitWrite(FlowClass::kGradState, MomKey(name), std::move(m0)),
       engine_->SubmitWrite(FlowClass::kGradState, VarKey(name), std::move(v0)),
-      engine_->SubmitWrite(FlowClass::kGradState, P16Key(name),
-                           std::move(p16)),
   };
   Status status = engine_->WaitAll(tickets);
   if (!status.ok()) {
@@ -239,7 +226,6 @@ Status AsyncUpdateEngine::StepTensor(const std::string& name,
   Buffer p32_out = pool.Lease(4 * n);
   Buffer m_out = pool.Lease(4 * n);
   Buffer v_out = pool.Lease(4 * n);
-  Buffer p16 = pool.Lease(2 * n);
   kernel_.StepFp16GradsChunksOut(
       step, n, grads16.data(), part.hot, part.chunk,
       reinterpret_cast<const float*>(p32_in.data()),
@@ -248,7 +234,7 @@ Status AsyncUpdateEngine::StepTensor(const std::string& name,
       reinterpret_cast<float*>(p32_out.mutable_data()),
       reinterpret_cast<float*>(m_out.mutable_data()),
       reinterpret_cast<float*>(v_out.mutable_data()),
-      reinterpret_cast<Fp16*>(p16.mutable_data()), grad_unscale);
+      /*params16_out=*/nullptr, grad_unscale);
 
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -273,12 +259,11 @@ Status AsyncUpdateEngine::StepTensor(const std::string& name,
                    part = std::move(part), p32_in = std::move(p32_in),
                    m_in = std::move(m_in), v_in = std::move(v_in),
                    p32_out = std::move(p32_out), m_out = std::move(m_out),
-                   v_out = std::move(v_out), p16 = std::move(p16),
-                   grad_unscale]() mutable {
+                   v_out = std::move(v_out), grad_unscale]() mutable {
     RunEpoch(meta, name, step, n, std::move(grads), std::move(part),
              std::move(p32_in), std::move(m_in), std::move(v_in),
              std::move(p32_out), std::move(m_out), std::move(v_out),
-             std::move(p16), grad_unscale);
+             grad_unscale);
   });
   return Status::Ok();
 }
@@ -288,7 +273,7 @@ void AsyncUpdateEngine::RunEpoch(TensorMeta* meta, const std::string& name,
                                  std::vector<Fp16> grads16, ChunkPartition part,
                                  Buffer p32_in, Buffer m_in, Buffer v_in,
                                  Buffer p32_out, Buffer m_out, Buffer v_out,
-                                 Buffer p16, float grad_unscale) {
+                                 float grad_unscale) {
   // Epoch workers run outside any caller tenant scope; attribute their
   // deferred writebacks to the optimizer's own tenant.
   ScopedTenant tenant_scope(options_.tenant);
@@ -315,13 +300,13 @@ void AsyncUpdateEngine::RunEpoch(TensorMeta* meta, const std::string& name,
       reinterpret_cast<float*>(p32_out.mutable_data()),
       reinterpret_cast<float*>(m_out.mutable_data()),
       reinterpret_cast<float*>(v_out.mutable_data()),
-      reinterpret_cast<Fp16*>(p16.mutable_data()), grad_unscale);
+      /*params16_out=*/nullptr, grad_unscale);
   p32_in.reset();  // return read staging to the pool before writeback
   m_in.reset();
   v_in.reset();
 
-  // Main -> SSD off the critical path: publish P32 + OS32 + P16
-  // (14 bytes/param) as background kDeferredState traffic — a
+  // Main -> SSD off the critical path: publish P32 + OS32 (12
+  // bytes/param) as background kDeferredState traffic — a
   // latency-critical param fetch can always overtake these in the
   // scheduler.
   const std::vector<TransferEngine::Ticket> writes = {
@@ -331,10 +316,8 @@ void AsyncUpdateEngine::RunEpoch(TensorMeta* meta, const std::string& name,
                            std::move(m_out)),
       engine_->SubmitWrite(FlowClass::kDeferredState, VarKey(name),
                            std::move(v_out)),
-      engine_->SubmitWrite(FlowClass::kDeferredState, P16Key(name),
-                           std::move(p16)),
   };
-  // The published barrier is only sound while all four blobs stay
+  // The published barrier is only sound while all three blobs stay
   // resident in the DRAM tier: pin them until the store writes resolve
   // (the reaper unpins). A failed pin means the entry was evicted
   // between admission and here, or the blob is larger than the tier and
@@ -345,11 +328,11 @@ void AsyncUpdateEngine::RunEpoch(TensorMeta* meta, const std::string& name,
   // epoch_pending clears below.
   const bool have_tier = !drain_needs_durable();
   std::vector<std::string> pinned;
-  pinned.reserve(4);
+  pinned.reserve(3);
   bool resident = have_tier;
   if (have_tier) {
     for (const std::string& key :
-         {P32Key(name), MomKey(name), VarKey(name), P16Key(name)}) {
+         {P32Key(name), MomKey(name), VarKey(name)}) {
       if (engine_->PinCached(key)) {
         pinned.push_back(key);
       } else {
@@ -401,10 +384,10 @@ Status AsyncUpdateEngine::StepTensorSync(const std::string& name, int64_t step,
   };
   RATEL_RETURN_IF_ERROR(engine_->WaitAll(reads));
 
-  // CPU compute: the Adam handler, emitting the fresh P16 copy. The
-  // inputs are published (possibly shared with the DRAM tier), so the
-  // kernel runs out-of-place into freshly leased buffers — same chunk
-  // grid, bitwise-identical arithmetic. The kernel fans out on the
+  // CPU compute: the Adam handler. The inputs are published (possibly
+  // shared with the DRAM tier), so the kernel runs out-of-place into
+  // freshly leased buffers — same chunk grid, bitwise-identical
+  // arithmetic. The kernel fans out on the
   // shared ComputePool; the SSD read/writeback stages above and below
   // stay on the TransferEngine's own I/O workers, so compute and I/O
   // threads never compete.
@@ -412,7 +395,6 @@ Status AsyncUpdateEngine::StepTensorSync(const std::string& name, int64_t step,
   Buffer p32_out = pool.Lease(4 * n);
   Buffer m_out = pool.Lease(4 * n);
   Buffer v_out = pool.Lease(4 * n);
-  Buffer p16 = pool.Lease(2 * n);
   kernel_.StepFp16GradsOut(
       step, n, grads16.data(), reinterpret_cast<const float*>(p32_in.data()),
       reinterpret_cast<const float*>(m_in.data()),
@@ -420,17 +402,17 @@ Status AsyncUpdateEngine::StepTensorSync(const std::string& name, int64_t step,
       reinterpret_cast<float*>(p32_out.mutable_data()),
       reinterpret_cast<float*>(m_out.mutable_data()),
       reinterpret_cast<float*>(v_out.mutable_data()),
-      reinterpret_cast<Fp16*>(p16.mutable_data()), grad_unscale);
+      /*params16_out=*/nullptr, grad_unscale);
   p32_in.reset();  // return read staging to the pool before writeback
   m_in.reset();
   v_in.reset();
 
-  // Main -> SSD: write back P32 + OS32 + P16 (14 bytes/param),
-  // zero-copy — each leased buffer is published once and shared by the
-  // DRAM tier and the store write. Waited here so the tensor's next
-  // fetch/step cannot overtake the writeback (P16 reads travel in the
-  // latency-critical class, which would pass these background writes in
-  // the scheduler).
+  // Main -> SSD: write back P32 + OS32 (12 bytes/param), zero-copy —
+  // each leased buffer is published once and shared by the DRAM tier
+  // and the store write. Waited here so the tensor's next fetch/step
+  // cannot overtake the writeback (the forward-stage P32 reads travel
+  // in the latency-critical class, which would pass these writes in the
+  // scheduler).
   const std::vector<TransferEngine::Ticket> writes = {
       engine_->SubmitWrite(FlowClass::kGradState, P32Key(name),
                            std::move(p32_out)),
@@ -438,27 +420,8 @@ Status AsyncUpdateEngine::StepTensorSync(const std::string& name, int64_t step,
                            std::move(m_out)),
       engine_->SubmitWrite(FlowClass::kGradState, VarKey(name),
                            std::move(v_out)),
-      engine_->SubmitWrite(FlowClass::kGradState, P16Key(name),
-                           std::move(p16)),
   };
   return engine_->WaitAll(writes);
-}
-
-Status AsyncUpdateEngine::FetchParams16(const std::string& name,
-                                        std::vector<Fp16>* out) const {
-  int64_t n = 0;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    auto it = meta_.find(name);
-    if (it == meta_.end()) {
-      return Status::NotFound("tensor '" + name + "' not registered");
-    }
-    n = it->second.size;
-    RATEL_RETURN_IF_ERROR(DrainMetaLocked(lock, it->second));
-  }
-  out->resize(n);
-  return engine_->Read(FlowClass::kParamFetch, P16Key(name), out->data(),
-                       2 * n);
 }
 
 Status AsyncUpdateEngine::FetchMasterParams(const std::string& name,
@@ -564,13 +527,10 @@ Status AsyncUpdateEngine::ImportState(const std::string& name, int64_t step,
   Buffer p32_buf = pool.Lease(4 * n);
   Buffer m_buf = pool.Lease(4 * n);
   Buffer v_buf = pool.Lease(4 * n);
-  Buffer p16 = pool.Lease(2 * n);
   if (n > 0) {
     std::memcpy(p32_buf.mutable_data(), p32.data(), 4 * n);
     std::memcpy(m_buf.mutable_data(), m.data(), 4 * n);
     std::memcpy(v_buf.mutable_data(), v.data(), 4 * n);
-    Fp16* p16_out = reinterpret_cast<Fp16*>(p16.mutable_data());
-    for (int64_t i = 0; i < n; ++i) p16_out[i] = FloatToHalf(p32[i]);
   }
   const std::vector<TransferEngine::Ticket> tickets = {
       engine_->SubmitWrite(FlowClass::kCheckpoint, P32Key(name),
@@ -579,8 +539,6 @@ Status AsyncUpdateEngine::ImportState(const std::string& name, int64_t step,
                            std::move(m_buf)),
       engine_->SubmitWrite(FlowClass::kCheckpoint, VarKey(name),
                            std::move(v_buf)),
-      engine_->SubmitWrite(FlowClass::kCheckpoint, P16Key(name),
-                           std::move(p16)),
   };
   return engine_->WaitAll(tickets);
 }

@@ -61,7 +61,10 @@ struct AsyncUpdateOptions {
 /// model states stay truly out of core: P32 and OS32 live behind the
 /// TransferEngine ("SSDs" fronted by the DRAM tier) and are streamed
 /// through main memory per tensor — SSD->Main, CPU compute, Main->SSD,
-/// the three handler steps of Fig. 3.
+/// the three handler steps of Fig. 3. Three blobs per tensor, 12
+/// bytes/param each way: no fp16 copy is stored, because P16 is exactly
+/// FloatToHalf(P32) — the forward-stage fetch reads P32 and narrows on
+/// the host.
 ///
 /// Sync mode (default): StepTensor performs all three phases inline
 /// (the reads and writebacks each waited as one batch), leaving exactly
@@ -72,7 +75,7 @@ struct AsyncUpdateOptions {
 /// by gradient magnitude (PartitionChunksByImportance), applies the hot
 /// chunks inline, and enqueues a *deferred epoch* on the background
 /// pool. The epoch applies the tail chunks into the same private
-/// out-buffers, then publishes all four blobs (P32/OS32/P16) as
+/// out-buffers, then publishes all three blobs (P32 and both moments) as
 /// FlowClass::kDeferredState traffic, so the whole writeback — hot and
 /// tail — leaves the step's critical path and overlaps the next step's
 /// forward. Because the Adam update is elementwise and the epoch reuses
@@ -80,12 +83,12 @@ struct AsyncUpdateOptions {
 /// identical to sync mode.
 ///
 /// Staleness bound (<= 1 step): every consumer of a tensor — the next
-/// StepTensor, P16/master fetches, state export — first drains that
+/// StepTensor, parameter fetches, state export — first drains that
 /// tensor's pending epoch, so no fetch ever observes a half-applied
 /// update and no tensor falls more than one step behind. With a DRAM
 /// tier in front of the store the drain barrier is "published" (the
 /// epoch has admitted its buffers tier-wide; same-key reads are
-/// coherent immediately) — and the epoch *pins* its four written keys
+/// coherent immediately) — and the epoch *pins* its three written keys
 /// in the tier until the reaper resolves their store writes, so LRU
 /// pressure cannot evict a published-but-not-yet-durable blob out from
 /// under a post-drain read. When any pin cannot be taken (the entry was
@@ -97,7 +100,8 @@ struct AsyncUpdateOptions {
 /// epoch-to-epoch, never reordered.
 ///
 /// Traffic tagging: foreground state reads stay FlowClass::kGradState,
-/// P16 fetches FlowClass::kParamFetch, checkpoint reads
+/// the trainer's forward-stage P32 fetches FlowClass::kParamFetch,
+/// checkpoint reads
 /// FlowClass::kCheckpoint; deferred-epoch writebacks are
 /// FlowClass::kDeferredState (background priority) so they can never
 /// stall a latency-critical param fetch.
@@ -131,14 +135,14 @@ class AsyncUpdateEngine {
   AsyncUpdateEngine(const AsyncUpdateEngine&) = delete;
   AsyncUpdateEngine& operator=(const AsyncUpdateEngine&) = delete;
 
-  /// Registers a tensor: writes initial P32 (from fp32 values), zeroed
-  /// moments, and the initial P16 copy through the engine.
+  /// Registers a tensor: writes initial P32 (from fp32 values) and
+  /// zeroed moments through the engine.
   Status Register(const std::string& name,
                   const std::vector<float>& initial_params);
 
   /// One active-gradient-offloading handler invocation: consumes fp16
-  /// gradients for `name`, updates its out-of-core states, and leaves a
-  /// fresh P16 blob behind the engine. `grad_unscale` undoes the
+  /// gradients for `name` and updates its out-of-core states (P32 and
+  /// OS32, 12 bytes/param written back). `grad_unscale` undoes the
   /// trainer's mixed-precision loss scaling. In async mode, returns
   /// once the hot chunks are applied and the tail epoch is enqueued; a
   /// deferred-write failure of the previous epoch surfaces here (or at
@@ -146,15 +150,11 @@ class AsyncUpdateEngine {
   Status StepTensor(const std::string& name, const std::vector<Fp16>& grads16,
                     float grad_unscale = 1.0f);
 
-  /// Reads the current P16 copy of `name` (the forward-pass fetch
-  /// path). Drains the tensor's pending epoch first, so the copy always
-  /// reflects a fully applied step.
-  Status FetchParams16(const std::string& name, std::vector<Fp16>* out) const;
-
-  /// Engine key of the P16 blob of `name` (key namespace applied) —
-  /// lets the trainer drive the forward-stage fetch directly through
-  /// the engine's prefetch path.
-  std::string Params16Key(const std::string& name) const;
+  /// Engine key of the P32 blob of `name` (key namespace applied, e.g.
+  /// "job1/p32/<name>") — lets the trainer drive the forward-stage
+  /// fetch directly through the engine's prefetch path, behind
+  /// DrainTensor.
+  std::string P32Key(const std::string& name) const;
 
   /// Reads the fp32 master copy (checkpointing/tests). Drains first.
   Status FetchMasterParams(const std::string& name,
@@ -176,9 +176,8 @@ class AsyncUpdateEngine {
                             Buffer* p32, Buffer* m, Buffer* v) const;
 
   /// Restores the complete optimizer state of `name`, registering the
-  /// tensor if missing: rewrites P32/moments, regenerates the P16 copy
-  /// from P32 (bitwise what StepTensor would have left behind), and sets
-  /// the per-tensor step. The checkpoint resume path. Any pending epoch
+  /// tensor if missing: rewrites P32/moments and sets the per-tensor
+  /// step. The checkpoint resume path. Any pending epoch
   /// is drained (and its sticky error superseded) first.
   Status ImportState(const std::string& name, int64_t step,
                      const std::vector<float>& p32,
@@ -186,7 +185,7 @@ class AsyncUpdateEngine {
                      const std::vector<float>& v);
 
   /// Blocks until `name`'s pending deferred epoch (if any) is safe to
-  /// read behind — the per-tensor dependency gate the trainer's P16
+  /// read behind — the per-tensor dependency gate the trainer's P32
   /// prefetch uses so no fetch overlaps an in-flight tail update.
   /// Returns the tensor's sticky deferred-write error, if any.
   Status DrainTensor(const std::string& name) const;
@@ -211,7 +210,7 @@ class AsyncUpdateEngine {
     /// The epoch's writebacks are published but their store writes have
     /// not resolved yet.
     bool writes_inflight = false;
-    /// The pending epoch could not pin all four written keys in the
+    /// The pending epoch could not pin all three written keys in the
     /// DRAM tier, so its drain barrier is durable regardless of the
     /// tier: a post-drain read might miss and hit the store, where only
     /// resolved writes are ordered.
@@ -232,14 +231,12 @@ class AsyncUpdateEngine {
     return engine_->host_cache_capacity() <= 0;
   }
 
-  // Engine keys of a tensor's four blobs, with the configured key
-  // namespace at the *front* ("job1/p32/<name>") — a per-tenant
+  // Engine keys of a tensor's moment blobs. Like P32Key, the configured
+  // key namespace goes at the *front* ("job1/m/<name>") — a per-tenant
   // FaultConfig::key_prefix of "job1/" then scopes blob faults to
   // exactly this optimizer's traffic.
-  std::string P32Key(const std::string& name) const;
   std::string MomKey(const std::string& name) const;
   std::string VarKey(const std::string& name) const;
-  std::string P16Key(const std::string& name) const;
 
   /// The classic blocking step (sync mode), reads and writes each
   /// waited as one batch.
@@ -250,7 +247,7 @@ class AsyncUpdateEngine {
   void RunEpoch(TensorMeta* meta, const std::string& name, int64_t step,
                 int64_t n, std::vector<Fp16> grads16, ChunkPartition part,
                 Buffer p32_in, Buffer m_in, Buffer v_in, Buffer p32_out,
-                Buffer m_out, Buffer v_out, Buffer p16, float grad_unscale);
+                Buffer m_out, Buffer v_out, float grad_unscale);
 
   /// One epoch's submitted store writebacks, awaiting resolution on the
   /// reaper thread.

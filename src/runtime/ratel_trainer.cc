@@ -6,6 +6,7 @@
 #include <cstring>
 #include <deque>
 #include <mutex>
+#include <unordered_map>
 
 #include "common/logging.h"
 #include "runtime/checkpoint.h"
@@ -23,6 +24,10 @@ double NowSeconds() {
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
+
+// Elements narrowed per pass of the fetch's P32 -> P16 -> fp32 round
+// trip: the fp16 staging block stays in L1 however large the tensor.
+constexpr int64_t kNarrowBlock = 4096;
 
 }  // namespace
 
@@ -110,6 +115,28 @@ Status RatelTrainer::Initialize() {
   for (auto& [name, var] : model_->parameters()) {
     RATEL_RETURN_IF_ERROR(adam_->Register(name, var.value()));
   }
+  // Gradient groups in backward arrival order: final layernorm, blocks
+  // L-1..0, then embeddings (Section IV-C's decreasing-index arrival),
+  // resolved to their parameters once.
+  std::vector<std::string> order = {"final/ln_g", "final/ln_b"};
+  for (int64_t l = model_->config().num_layers - 1; l >= 0; --l) {
+    for (std::string& name :
+         model_->BlockParameterNames(static_cast<int>(l))) {
+      order.push_back(std::move(name));
+    }
+  }
+  order.push_back("embed/pos");
+  order.push_back("embed/table");
+  const std::unordered_map<std::string, ag::Variable> by_name(
+      model_->parameters().begin(), model_->parameters().end());
+  arrival_.reserve(order.size());
+  for (std::string& name : order) {
+    auto it = by_name.find(name);
+    if (it == by_name.end()) {
+      return Status::Internal("missing parameter " + name);
+    }
+    arrival_.emplace_back(std::move(name), it->second);
+  }
   pipeline_ =
       std::make_unique<ThreadPool>(std::max(1, options_.pipeline_threads));
   // Resolve the re-planning knobs once (same overlay pattern as faults
@@ -142,12 +169,11 @@ void RatelTrainer::MaybeInitReplanner(int64_t micro_batch) {
   hw.mem_avail_m = options_.host_cache_bytes;
   nameplate_bw_s2m_ = hw.bw_s2m;
   replanner_ = std::make_unique<Replanner>(options_.replan, hw, *workload_);
-  InstallPlan(replanner_->current_plan(), replanner_->current_recompute(),
-              replanner_->current_profile(), /*version=*/0);
+  InstallPlan(replanner_->current_plan(), replanner_->current_profile(),
+              /*version=*/0);
 }
 
 void RatelTrainer::InstallPlan(const ActivationPlan& plan,
-                               const KnapsackPlan& recompute,
                                const HardwareProfile& profile,
                                int64_t version) {
   ActiveSchedule next;
@@ -165,23 +191,8 @@ void RatelTrainer::InstallPlan(const ActivationPlan& plan,
   const long depth = std::lround(4.0 * slowdown);
   next.prefetch_depth =
       static_cast<int>(std::min<long>(16, std::max<long>(2, depth)));
-  next.recompute_kept = recompute.chosen;
   next.version = version;
   schedule_ = std::move(next);
-}
-
-std::vector<std::string> RatelTrainer::ArrivalOrder() const {
-  std::vector<std::string> order;
-  order.push_back("final/ln_g");
-  order.push_back("final/ln_b");
-  for (int64_t l = model_->config().num_layers - 1; l >= 0; --l) {
-    for (const auto& name : model_->BlockParameterNames(static_cast<int>(l))) {
-      order.push_back(name);
-    }
-  }
-  order.push_back("embed/pos");
-  order.push_back("embed/table");
-  return order;
 }
 
 Result<float> RatelTrainer::TrainStep(const std::vector<int64_t>& ids,
@@ -202,22 +213,26 @@ Result<float> RatelTrainer::TrainStep(const std::vector<int64_t>& ids,
   const AsyncUpdateEngine::Stats update0 = adam_->stats();
   const double t0 = NowSeconds();
 
-  // --- Swap in the current P16 copies (the forward-stage M->G fetch),
-  // prefetched a few tensors ahead through the engine so the
-  // latency-critical reads overlap the fp16 -> fp32 conversion (the
-  // M->G / compute pipeline of Section IV-A). In async-optimizer mode
-  // each request carries a per-tensor dependency gate: the fetch of a
-  // P16 whose tail update is still in flight drains that one tensor's
-  // epoch first (staleness bound <= 1 step), while fetches of already-
-  // drained tensors stream ahead — the previous step's deferred
-  // writebacks overlap this step's fetch/forward. ---
+  // --- Swap in the current fp16 weights (the forward-stage M->G
+  // fetch). No P16 copy is stored: P16 is exactly FloatToHalf(P32), so
+  // the fetch reads each tensor's P32 blob and narrows it on the host,
+  // leaving every weight HalfToFloat(FloatToHalf(p32)) — bitwise what
+  // the optimizer's fused narrow would have produced. The reads are
+  // prefetched a few tensors ahead through the engine so they overlap
+  // the conversion (the M->G / compute pipeline of Section IV-A). In
+  // async-optimizer mode each request carries a per-tensor dependency
+  // gate: the fetch of a P32 whose tail update is still in flight
+  // drains that one tensor's epoch first (staleness bound <= 1 step),
+  // while fetches of already-drained tensors stream ahead — the
+  // previous step's deferred writebacks overlap this step's
+  // fetch/forward. ---
   {
     std::vector<Prefetcher::Request> requests;
     requests.reserve(model_->parameters().size());
     for (const auto& [name, var] : model_->parameters()) {
       Prefetcher::Request req;
-      req.key = adam_->Params16Key(name);
-      req.size = 2 * static_cast<int64_t>(var.value().size());
+      req.key = adam_->P32Key(name);
+      req.size = 4 * static_cast<int64_t>(var.value().size());
       if (adam_->async()) {
         req.gate = [this, name = name] { return adam_->DrainTensor(name); };
       }
@@ -225,15 +240,21 @@ Result<float> RatelTrainer::TrainStep(const std::vector<int64_t>& ids,
     }
     Prefetcher prefetcher(engine_, FlowClass::kParamFetch,
                           std::move(requests), schedule_.prefetch_depth);
+    const simd::KernelTable& kernels = simd::Kernels();
+    std::vector<Fp16> halves(kNarrowBlock);
     for (auto& [name, var] : model_->parameters()) {
       Prefetcher::Item item = prefetcher.Next();
-      RATEL_CHECK(item.key == adam_->Params16Key(name));
+      RATEL_CHECK(item.key == adam_->P32Key(name));
       RATEL_RETURN_IF_ERROR(item.status);
       std::vector<float>& dst = var.mutable_value();
-      RATEL_CHECK(static_cast<size_t>(item.data.size()) == 2 * dst.size());
-      simd::Kernels().halves_to_floats(
-          reinterpret_cast<const Fp16*>(item.data.data()), dst.data(),
-          static_cast<int64_t>(dst.size()), 1.0f);
+      const int64_t n = static_cast<int64_t>(dst.size());
+      RATEL_CHECK(item.data.size() == 4 * n);
+      const float* p32 = reinterpret_cast<const float*>(item.data.data());
+      for (int64_t b = 0; b < n; b += kNarrowBlock) {
+        const int64_t len = std::min(kNarrowBlock, n - b);
+        kernels.floats_to_halves(p32 + b, halves.data(), len);
+        kernels.halves_to_floats(halves.data(), dst.data() + b, len, 1.0f);
+      }
     }
   }
   const double t_fetch = NowSeconds();
@@ -373,16 +394,8 @@ Result<float> RatelTrainer::TrainStep(const std::vector<int64_t>& ids,
   TaskGroup group(pipeline_.get());
 
   std::vector<float> scaled_grad;  // fp32 staging of the G16 cast
-  for (const std::string& name : ArrivalOrder()) {
-    // Locate the parameter and convert its gradient to G16.
-    ag::Variable var;
-    for (auto& [n, v] : model_->parameters()) {
-      if (n == name) {
-        var = v;
-        break;
-      }
-    }
-    RATEL_CHECK(var.defined()) << "missing parameter " << name;
+  for (const auto& [name, var] : arrival_) {
+    // Convert the parameter's gradient to G16.
     const std::vector<float>& grad = var.grad();
     if (grad.empty()) {
       return Status::Internal("no gradient for '" + name + "'");
@@ -471,8 +484,7 @@ Result<float> RatelTrainer::TrainStep(const std::vector<int64_t>& ids,
     std::optional<ReplanResult> result =
         replanner_->Observe(engine_->stats(), NowSeconds());
     if (result.has_value()) {
-      InstallPlan(result->activation, result->recompute, result->calibrated,
-                  result->solve_index);
+      InstallPlan(result->activation, result->calibrated, result->solve_index);
       ++replans_installed_;
       stats.plan_swap_s = NowSeconds() - swap0;
     }
@@ -556,8 +568,8 @@ Result<int64_t> RatelTrainer::RestoreLatestCheckpoint(const std::string& dir) {
     RATEL_RETURN_IF_ERROR(
         adam_->ImportState(t.name, t.adam_step, t.p32, t.m, t.v));
   }
-  // The imported P16 copies must be durable before the next step's
-  // fetch can observe them.
+  // The imported state must be durable before the next step's fetch
+  // can observe it.
   RATEL_RETURN_IF_ERROR(engine_->Drain());
   global_step_ = state.step;
   return global_step_;

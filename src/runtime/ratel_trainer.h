@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "autograd/transformer.h"
@@ -39,8 +40,9 @@ struct TrainerOptions {
   /// completed while it waited (<= 0 restores strict priority).
   int background_aging_limit = 64;
   /// DRAM tier-cache capacity in front of the SSD tier (the main
-  /// memory level of the hierarchy); 0 disables caching. Hot P16 blocks
-  /// and model-state chunks are then served from DRAM.
+  /// memory level of the hierarchy); 0 disables caching. Hot P32 blobs
+  /// (read by both the forward fetch and the optimizer) and the moments
+  /// are then served from DRAM.
   int64_t host_cache_bytes = 0;
   /// True swaps the tape's saved activations (A16) out through the
   /// engine after forward and back in before backward — the activation
@@ -117,8 +119,8 @@ struct TrainerOptions {
   /// default) keeps the classic key schema.
   std::string key_namespace;
   /// Online re-planning (DESIGN.md §3i): watch windowed per-flow
-  /// bandwidth from TransferStats, re-solve Algorithm 1 + the recompute
-  /// knapsack when observed bandwidth drifts past the threshold, and
+  /// bandwidth from TransferStats, re-solve Algorithm 1 when observed
+  /// bandwidth drifts past the threshold, and
   /// hot-swap the schedule at the next step boundary. Overlaid with the
   /// RATEL_REPLAN_* environment knobs at Create. Disabled (the default)
   /// runs the exact pre-replanner code path — bitwise identical.
@@ -132,7 +134,7 @@ struct TrainerOptions {
 /// Wall-clock / traffic breakdown of one training step.
 struct StepStats {
   double total_s = 0.0;
-  double fetch_s = 0.0;       // P16 swap-in before forward
+  double fetch_s = 0.0;       // P32 fetch + host narrow before forward
   double compute_s = 0.0;     // forward + backward autograd
   double optimizer_s = 0.0;   // time until the last handler drained
   /// Deferred-update breakdown (async optimizer mode; all zero in sync
@@ -143,7 +145,7 @@ struct StepStats {
   int64_t hot_chunks = 0;      // chunks applied on the critical path
   int64_t tail_chunks = 0;     // chunks deferred to background epochs
   int64_t deferred_epochs = 0;
-  /// Parameter + model-state traffic of this step (P16 fetch and the
+  /// Parameter + model-state traffic of this step (P32 fetch and the
   /// optimizer stream; activation traffic is reported separately).
   int64_t bytes_read = 0;
   int64_t bytes_written = 0;
@@ -166,8 +168,14 @@ struct StepStats {
 
 /// The runnable counterpart of the paper's framework integration
 /// (Fig. 4): wraps a real TinyGpt model so that
-///   - fp16 parameter copies (P16) are fetched through the transfer
-///     engine before each forward pass,
+///   - the fp16 weights (P16) are derived before each forward pass:
+///     no P16 blob is stored, the fetch reads each tensor's P32 master
+///     copy through the transfer engine (4 bytes/param on
+///     FlowClass::kParamFetch) and narrows it on the host, bitwise what
+///     a stored FloatToHalf(P32) copy would hold. Storing no fp16
+///     copy saves the optimizer a 2 bytes/param writeback every step;
+///     the price is a 4- rather than 2-byte/param read whenever the
+///     fetch misses the DRAM tier,
 ///   - gradients are consumed per parameter group as they "arrive" in
 ///     backward order, driving the out-of-core Adam handler
 ///     (active gradient offloading, Section IV-C), and
@@ -179,8 +187,9 @@ struct StepStats {
 /// the step is attributed to a FlowClass (StepStats::xfer).
 class RatelTrainer {
  public:
-  /// Opens the transfer engine, registers every model parameter with
-  /// the out-of-core optimizer, and seeds the initial P16 copies.
+  /// Opens the transfer engine and registers every model parameter
+  /// with the out-of-core optimizer (its initial P32 and zeroed
+  /// moments).
   /// `model` must outlive the trainer.
   static Result<std::unique_ptr<RatelTrainer>> Create(
       ag::TinyGpt* model, const TrainerOptions& options);
@@ -224,13 +233,8 @@ class RatelTrainer {
     /// the engine (largest tensors first); >= 1.0 spills everything —
     /// the exact legacy path.
     double spill_fraction = 1.0;
-    /// Read-ahead depth of the P16 prefetch pipeline.
+    /// Read-ahead depth of the parameter prefetch pipeline.
     int prefetch_depth = 4;
-    /// Planner units the recompute knapsack chose to keep resident
-    /// (advisory in this substrate: the autograd tape holds real
-    /// activations, so recompute choices inform the plan's cost model
-    /// rather than re-executing forward kernels).
-    std::vector<int> recompute_kept;
     /// 0 = initial plan; re-solves bump this to their solve index.
     int64_t version = 0;
   };
@@ -252,10 +256,6 @@ class RatelTrainer {
 
   Status Initialize();
 
-  /// Gradient groups in backward arrival order: final layernorm, blocks
-  /// L-1..0, then embeddings (Section IV-C's decreasing-index arrival).
-  std::vector<std::string> ArrivalOrder() const;
-
   /// Lazily builds the replanner on the first step (the workload
   /// profile needs the micro-batch size) and installs its initial plan.
   void MaybeInitReplanner(int64_t micro_batch);
@@ -264,8 +264,8 @@ class RatelTrainer {
   /// steps — all of this step's I/O has been waited, and the plan never
   /// touches optimizer keys, so in-flight deferred epochs and their
   /// drain gates stay valid.
-  void InstallPlan(const ActivationPlan& plan, const KnapsackPlan& recompute,
-                   const HardwareProfile& profile, int64_t version);
+  void InstallPlan(const ActivationPlan& plan, const HardwareProfile& profile,
+                   int64_t version);
 
   /// Waits for the activation swap-outs still in flight (the previous
   /// spill's) and returns the first error among them.
@@ -278,6 +278,10 @@ class RatelTrainer {
   /// The engine in use — owned_engine_.get() or options_.shared_engine.
   TransferEngine* engine_ = nullptr;
   std::unique_ptr<AsyncUpdateEngine> adam_;
+  /// Parameters in backward gradient-arrival order (final layernorm,
+  /// blocks L-1..0, then embeddings — Section IV-C), resolved once at
+  /// Initialize.
+  std::vector<std::pair<std::string, ag::Variable>> arrival_;
   /// Online re-planning state (all null/default when disabled).
   std::unique_ptr<WorkloadProfile> workload_;  // planner's model view
   std::unique_ptr<Replanner> replanner_;

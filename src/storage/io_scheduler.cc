@@ -290,6 +290,8 @@ void IoScheduler::WorkerLoop() {
         req = background_.PopNext();
       }
       ++in_flight_;
+      BusyClock& busy = req.is_write ? write_busy_ : read_busy_;
+      if (busy.in_service++ == 0) busy.since = std::chrono::steady_clock::now();
     }
 
     const IoResult result = Execute(req);
@@ -325,6 +327,11 @@ void IoScheduler::WorkerLoop() {
       total_retries_ += result.attempts - 1;
       if (result.gave_up) ++total_giveups_;
       tenant_served_bytes_[req.tenant_tag] += req.size;
+      BusyClock& busy = req.is_write ? write_busy_ : read_busy_;
+      const auto now = std::chrono::steady_clock::now();
+      busy.seconds += std::chrono::duration<double>(now - busy.since).count();
+      busy.since = now;
+      --busy.in_service;
       --in_flight_;
     }
     ticket_done_.notify_all();
@@ -378,6 +385,16 @@ int64_t IoScheduler::promoted_background() const {
 int64_t IoScheduler::promoted_normal() const {
   std::lock_guard<std::mutex> lock(mu_);
   return promoted_normal_;
+}
+
+double IoScheduler::read_busy_seconds() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return read_busy_.seconds;
+}
+
+double IoScheduler::write_busy_seconds() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return write_busy_.seconds;
 }
 
 int64_t IoScheduler::total_retries() const {

@@ -1,6 +1,7 @@
 #ifndef RATEL_STORAGE_IO_SCHEDULER_H_
 #define RATEL_STORAGE_IO_SCHEDULER_H_
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -219,6 +220,12 @@ class IoScheduler {
   /// Payload bytes served so far on behalf of `tenant`, across all
   /// classes (for fair-share convergence assertions).
   int64_t tenant_served_bytes(int tenant) const;
+  /// Seconds the store spent with at least one read (write) in service,
+  /// from a worker's dequeue to the request's completion, overlapping
+  /// requests counted once. Queue wait is excluded, so bytes moved per
+  /// busy second track the device's bandwidth at any queue depth.
+  double read_busy_seconds() const;
+  double write_busy_seconds() const;
 
  private:
   struct Request {
@@ -238,6 +245,14 @@ class IoScheduler {
     // for normal requests; critical + normal for background ones); age
     // = higher-class completions since then.
     int64_t higher_at_enqueue = 0;
+  };
+
+  /// Union of the in-service intervals of one side of the store,
+  /// accrued at each completion.
+  struct BusyClock {
+    int in_service = 0;
+    std::chrono::steady_clock::time_point since;
+    double seconds = 0.0;
   };
 
   void WorkerLoop();
@@ -268,6 +283,8 @@ class IoScheduler {
   int64_t total_retries_ = 0;
   int64_t total_giveups_ = 0;
   std::unordered_map<int, int64_t> tenant_served_bytes_;
+  BusyClock read_busy_;
+  BusyClock write_busy_;
   int in_flight_ = 0;
   bool shutdown_ = false;
   std::vector<std::thread> workers_;

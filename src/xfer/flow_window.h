@@ -41,9 +41,8 @@ struct FlowWindow {
   /// Effective store-leg service bandwidth (bytes moved per second of
   /// summed request latency; 0 when the window carried no such traffic).
   /// Queueing inflates the latency sum, so this is a *throughput floor*
-  /// — stable under steady load, which is exactly what drift detection
-  /// needs (the replanner compares it against its own history, not
-  /// against nameplate numbers).
+  /// that also moves with queue depth; the replanner's drift signal uses
+  /// store busy time instead (TransferStats::store_write_busy_seconds).
   double ReadServiceBandwidth() const {
     return read_seconds > 0.0
                ? static_cast<double>(encoded_bytes_read) / read_seconds

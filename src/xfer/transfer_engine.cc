@@ -108,6 +108,10 @@ TransferStats Delta(const TransferStats& later, const TransferStats& earlier) {
   d.store_bytes_read = later.store_bytes_read - earlier.store_bytes_read;
   d.store_bytes_written =
       later.store_bytes_written - earlier.store_bytes_written;
+  d.store_read_busy_seconds =
+      later.store_read_busy_seconds - earlier.store_read_busy_seconds;
+  d.store_write_busy_seconds =
+      later.store_write_busy_seconds - earlier.store_write_busy_seconds;
   return d;
 }
 
@@ -723,6 +727,8 @@ TransferStats TransferEngine::stats() const {
   if (cache_ != nullptr) snapshot.cache = cache_->stats();
   snapshot.store_bytes_read = store_->total_bytes_read();
   snapshot.store_bytes_written = store_->total_bytes_written();
+  snapshot.store_read_busy_seconds = sched_->read_busy_seconds();
+  snapshot.store_write_busy_seconds = sched_->write_busy_seconds();
   return snapshot;
 }
 

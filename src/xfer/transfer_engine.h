@@ -120,6 +120,11 @@ struct TransferStats {
   TierCache::Stats cache;  // zero-valued when the DRAM tier is disabled
   int64_t store_bytes_read = 0;
   int64_t store_bytes_written = 0;
+  /// Store time with a read (write) in service, queue wait excluded
+  /// (IoScheduler::read_busy_seconds): store-leg bytes per busy second
+  /// is the observed device bandwidth the replanner tracks.
+  double store_read_busy_seconds = 0.0;
+  double store_write_busy_seconds = 0.0;
 
   const FlowCounters& Flow(FlowClass f) const {
     return flow[static_cast<size_t>(f)];

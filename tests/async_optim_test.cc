@@ -52,11 +52,6 @@ bool BitwiseEqual(const std::vector<float>& a, const std::vector<float>& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
-bool BitwiseEqual16(const std::vector<Fp16>& a, const std::vector<Fp16>& b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(Fp16)) == 0;
-}
-
 std::vector<float> RandomVec(int64_t n, uint64_t seed) {
   Rng rng(seed);
   std::vector<float> v(n);
@@ -206,7 +201,6 @@ TEST(AsyncOptimTest, SyncModeMatchesInMemoryChunkedAdamBitwise) {
 
 struct RunResult {
   std::vector<float> p32, m, v;
-  std::vector<Fp16> p16;
   AsyncUpdateEngine::Stats stats;
 };
 
@@ -233,7 +227,6 @@ RunResult RunUpdates(const std::string& tag, const AsyncUpdateOptions& options,
         ooc.ExportState("w", &adam_step, &result.p32, &result.m, &result.v)
             .ok());
     EXPECT_EQ(adam_step, steps);
-    EXPECT_TRUE(ooc.FetchParams16("w", &result.p16).ok());
     result.stats = ooc.stats();
   }
   SetComputeThreads(1);
@@ -262,7 +255,6 @@ TEST(AsyncOptimTest, AsyncFinalStateMatchesSyncBitwise) {
   EXPECT_TRUE(BitwiseEqual(sync.p32, deferred.p32));
   EXPECT_TRUE(BitwiseEqual(sync.m, deferred.m));
   EXPECT_TRUE(BitwiseEqual(sync.v, deferred.v));
-  EXPECT_TRUE(BitwiseEqual16(sync.p16, deferred.p16));
 }
 
 TEST(AsyncOptimTest, AsyncWithoutDramTierIsStillExact) {
@@ -279,7 +271,6 @@ TEST(AsyncOptimTest, AsyncWithoutDramTierIsStillExact) {
   EXPECT_TRUE(BitwiseEqual(sync.p32, deferred.p32));
   EXPECT_TRUE(BitwiseEqual(sync.m, deferred.m));
   EXPECT_TRUE(BitwiseEqual(sync.v, deferred.v));
-  EXPECT_TRUE(BitwiseEqual16(sync.p16, deferred.p16));
 }
 
 TEST(AsyncOptimTest, AsyncIsBitwiseReproducibleAcrossThreadCounts) {
@@ -296,7 +287,6 @@ TEST(AsyncOptimTest, AsyncIsBitwiseReproducibleAcrossThreadCounts) {
   EXPECT_TRUE(BitwiseEqual(a.p32, b.p32));
   EXPECT_TRUE(BitwiseEqual(a.m, b.m));
   EXPECT_TRUE(BitwiseEqual(a.v, b.v));
-  EXPECT_TRUE(BitwiseEqual16(a.p16, b.p16));
   // The fixed partition boundaries also pin the hot/tail accounting.
   EXPECT_EQ(a.stats.hot_chunks, b.stats.hot_chunks);
   EXPECT_EQ(a.stats.tail_chunks, b.stats.tail_chunks);
@@ -325,11 +315,22 @@ TEST(AsyncOptimTest, StalenessBoundEveryFetchSeesTheFullyAppliedStep) {
     ASSERT_TRUE(async_adam.StepTensor("w", g).ok());
     // Immediately after the step returns (tail epoch possibly still in
     // flight), a fetch must observe step N fully applied — never the
-    // hot-only intermediate, never step N-1.
-    std::vector<Fp16> p16_sync, p16_async;
-    ASSERT_TRUE(sync_adam.FetchParams16("w", &p16_sync).ok());
-    ASSERT_TRUE(async_adam.FetchParams16("w", &p16_async).ok());
-    EXPECT_TRUE(BitwiseEqual16(p16_sync, p16_async)) << "step " << step;
+    // hot-only intermediate, never step N-1. First the trainer's
+    // forward-stage path: drain gate, then a kParamFetch read of P32.
+    std::vector<float> f_sync, f_async;
+    for (auto [adam, out] : {std::pair{&sync_adam, &f_sync},
+                             std::pair{&async_adam, &f_async}}) {
+      ASSERT_TRUE(adam->DrainTensor("w").ok());
+      Buffer p32;
+      ASSERT_TRUE(adam->engine()
+                      .Wait(adam->engine().SubmitRead(
+                          FlowClass::kParamFetch, adam->P32Key("w"), &p32,
+                          4 * kN))
+                      .ok());
+      out->resize(kN);
+      std::memcpy(out->data(), p32.data(), 4 * kN);
+    }
+    EXPECT_TRUE(BitwiseEqual(f_sync, f_async)) << "step " << step;
     std::vector<float> m_sync, m_async;
     ASSERT_TRUE(sync_adam.FetchMasterParams("w", &m_sync).ok());
     ASSERT_TRUE(async_adam.FetchMasterParams("w", &m_async).ok());
@@ -351,7 +352,7 @@ TEST(AsyncOptimTest, StalenessBoundEveryFetchSeesTheFullyAppliedStep) {
 
 TEST(AsyncOptimTest, ExactUnderDramEvictionPressure) {
   // Three tensors churning a tier that holds roughly ONE tensor's
-  // 14 B/param write set, writes throttled so the deferred epochs'
+  // 12 B/param write set, writes throttled so the deferred epochs'
   // store writes stay in flight while the foreground fetches.
   auto sync_engine = OpenEngine("evict_sync");
   auto async_engine = OpenEngine("evict_async", /*cache_bytes=*/8192,

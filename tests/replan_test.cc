@@ -278,6 +278,7 @@ class SyntheticFeed {
     c.bytes_written += bytes;
     c.encoded_bytes_written += bytes;
     c.write_seconds += static_cast<double>(bytes) / bandwidth;
+    stats_.store_write_busy_seconds += static_cast<double>(bytes) / bandwidth;
     t_ += 0.1;
     return rp_->Observe(stats_, t_);
   }
@@ -513,6 +514,40 @@ TEST(TransferEngineTest, StripeDeathRescalesThrottledChannels) {
   EXPECT_DOUBLE_EQ((*engine)->current_write_bandwidth(), kBw * 0.75);
 }
 
+TEST(TransferEngineTest, StoreBusyTimeExcludesQueueWait) {
+  // The replanner's bandwidth sample is store bytes per busy second. A
+  // burst of writes queued at once on a throttled channel must read
+  // close to the channel's rate that way, while bytes per summed
+  // submit-to-completion second — which counts every request's queue
+  // wait — reads a fraction of it.
+  const double kBw = 4.0 * (1 << 20);
+  TransferOptions opts;
+  opts.dir = TempDir("busy");
+  opts.write_bandwidth = kBw;
+  auto engine = TransferEngine::Open(opts);
+  ASSERT_TRUE(engine.ok());
+  constexpr int kWrites = 8;
+  constexpr int64_t kBytes = 32 * 1024;
+  const std::vector<uint8_t> blob(kBytes, 0x5A);
+  std::vector<TransferEngine::Ticket> tickets;
+  for (int i = 0; i < kWrites; ++i) {
+    tickets.push_back((*engine)->SubmitWrite(FlowClass::kCheckpoint,
+                                             "burst" + std::to_string(i),
+                                             blob.data(), kBytes));
+  }
+  ASSERT_TRUE((*engine)->WaitAll(tickets).ok());
+  const TransferStats stats = (*engine)->stats();
+  const double bytes = static_cast<double>(kWrites * kBytes);
+  ASSERT_GT(stats.store_write_busy_seconds, 0.0);
+  const double busy_bw = bytes / stats.store_write_busy_seconds;
+  const double latency_bw =
+      bytes / stats.Flow(FlowClass::kCheckpoint).write_seconds;
+  // The throttle never lets bytes through faster than its rate.
+  EXPECT_LE(busy_bw, kBw * 1.05);
+  EXPECT_GT(busy_bw, 2.0 * latency_bw);
+  EXPECT_EQ(stats.store_read_busy_seconds, 0.0);  // no read was served
+}
+
 TEST(TransferEngineTest, DegradeKnobOffKeepsNameplateBandwidth) {
   const double kBw = 8.0 * (1 << 20);
   FaultInjector injector{FaultConfig{}};
@@ -612,7 +647,7 @@ TEST(ReplanTrainerTest, MidRunStripeDeathReplansAndStaysLossEquivalent) {
   // the bandwidth collapse, re-solve, and hot-swap the schedule — and
   // the loss trajectory must stay bitwise identical to an undisturbed
   // unthrottled run, because every swapped quantity (spill set,
-  // prefetch depth, recompute choices) is numerics-neutral.
+  // prefetch depth) is numerics-neutral.
   const int kSteps = 10, kBatch = 2;
   const auto batches = CollectBatches(kSteps, kBatch);
 
@@ -636,8 +671,12 @@ TEST(ReplanTrainerTest, MidRunStripeDeathReplansAndStaysLossEquivalent) {
   // Throttle slow enough that the deterministic bandwidth sleeps
   // dominate service latency even under sanitizer + parallel-ctest
   // load — otherwise scheduler jitter can out-shout the physical
-  // bandwidth halving and calibrate the profile the wrong way.
-  const double kBw = 8.0 * (1 << 20);
+  // bandwidth halving and calibrate the profile the wrong way. This
+  // model's blobs are ~1 KiB: at 8 MiB/s a transfer took ~0.1 ms, on
+  // the order of a loaded host's wake-up latency, and a pre-kill window
+  // could read 1.7x its neighbour; at 4 MiB/s the post-kill bandwidth
+  // reads at most 0.66x the baseline in 250 loaded runs.
+  const double kBw = 4.0 * (1 << 20);
   opts_b.ssd_read_bandwidth = kBw;
   opts_b.ssd_write_bandwidth = kBw;
   opts_b.stripe_chunk_bytes = 4096;  // stripe every blob across devices

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstring>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -195,21 +196,32 @@ TEST(OutOfCoreAdamTest, MatchesInMemoryChunkedAdam) {
 }
 
 TEST(OutOfCoreAdamTest, P16CopyTracksMaster) {
+  // No fp16 copy is stored: consumers narrow P32 themselves. So the
+  // stored P32 must be bitwise the in-memory reference's, and its
+  // narrowing bitwise the fp16 copy the reference's fused kernel emits.
   auto engine = OpenEngine("p16");
   ASSERT_TRUE(engine.ok());
   AsyncUpdateEngine ooc(AdamConfig{}, engine->get());
+  ChunkedCpuAdam ram(AdamConfig{});
   ASSERT_TRUE(ooc.Register("w", {0.25f, -0.75f}).ok());
-  std::vector<Fp16> p16;
-  ASSERT_TRUE(ooc.FetchParams16("w", &p16).ok());
-  ASSERT_EQ(p16.size(), 2u);
-  EXPECT_FLOAT_EQ(HalfToFloat(p16[0]), 0.25f);
-  EXPECT_FLOAT_EQ(HalfToFloat(p16[1]), -0.75f);
-  std::vector<Fp16> g{FloatToHalf(1.0f), FloatToHalf(1.0f)};
-  ASSERT_TRUE(ooc.StepTensor("w", g).ok());
+  ASSERT_TRUE(ram.Register("w", {0.25f, -0.75f}).ok());
   std::vector<float> master;
   ASSERT_TRUE(ooc.FetchMasterParams("w", &master).ok());
-  ASSERT_TRUE(ooc.FetchParams16("w", &p16).ok());
-  EXPECT_NEAR(HalfToFloat(p16[0]), master[0], 1e-3f);
+  EXPECT_EQ(master, (std::vector<float>{0.25f, -0.75f}));
+  std::vector<Fp16> g{FloatToHalf(1.0f), FloatToHalf(1.0f)};
+  std::vector<Fp16> ref16;
+  ASSERT_TRUE(ooc.StepTensor("w", g).ok());
+  ASSERT_TRUE(ram.StepTensor("w", g, &ref16).ok());
+  ASSERT_TRUE(ooc.FetchMasterParams("w", &master).ok());
+  auto ref = ram.MasterParams("w");
+  ASSERT_TRUE(ref.ok());
+  ASSERT_EQ(master.size(), 2u);
+  ASSERT_EQ(ref16.size(), 2u);
+  for (size_t i = 0; i < master.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&master[i], &(**ref)[i], sizeof(float)), 0) << i;
+    EXPECT_EQ(FloatToHalf(master[i]), ref16[i]) << i;
+  }
+  EXPECT_NE(master[0], 0.25f);  // the step really moved the weight
 }
 
 TEST(OutOfCoreAdamTest, TrafficAccountingMatchesTableII) {
@@ -219,20 +231,25 @@ TEST(OutOfCoreAdamTest, TrafficAccountingMatchesTableII) {
   constexpr int64_t kN = 1000;
   ASSERT_TRUE(ooc.Register("w", std::vector<float>(kN, 0.1f)).ok());
   const TransferStats after_register = (*engine)->stats();
-  // P32 + OS32 + P16 seed, all on the model-state flow.
-  EXPECT_EQ(after_register.Flow(FlowClass::kGradState).bytes_written, 14 * kN);
+  // P32 + OS32 seed, all on the model-state flow (no fp16 copy).
+  EXPECT_EQ(after_register.Flow(FlowClass::kGradState).bytes_written, 12 * kN);
   std::vector<Fp16> g(kN, FloatToHalf(0.01f));
   ASSERT_TRUE(ooc.StepTensor("w", g).ok());
   const TransferStats step =
       Delta((*engine)->stats(), after_register);
-  // Per step: read 12 bytes/param (P32+OS32), write 14 (P32+OS32+P16).
+  // Per step: read 12 bytes/param (P32+OS32), write 12 (P32+OS32).
   EXPECT_EQ(step.Flow(FlowClass::kGradState).bytes_read, 12 * kN);
-  EXPECT_EQ(step.Flow(FlowClass::kGradState).bytes_written, 14 * kN);
-  // The P16 forward fetch travels on its own flow: 2 bytes/param.
-  std::vector<Fp16> p16;
-  ASSERT_TRUE(ooc.FetchParams16("w", &p16).ok());
+  EXPECT_EQ(step.Flow(FlowClass::kGradState).bytes_written, 12 * kN);
+  // The forward fetch reads the P32 key on its own flow (4 bytes/param)
+  // behind the tensor's drain gate, as the trainer's prefetch does.
+  ASSERT_TRUE(ooc.DrainTensor("w").ok());
+  Buffer p32;
+  ASSERT_TRUE((*engine)
+                  ->Wait((*engine)->SubmitRead(FlowClass::kParamFetch,
+                                               ooc.P32Key("w"), &p32, 4 * kN))
+                  .ok());
   const TransferStats fetched = (*engine)->stats();
-  EXPECT_EQ(fetched.Flow(FlowClass::kParamFetch).bytes_read, 2 * kN);
+  EXPECT_EQ(fetched.Flow(FlowClass::kParamFetch).bytes_read, 4 * kN);
   // No DRAM tier configured: per-flow totals reconcile with the store.
   EXPECT_EQ(fetched.TotalBytesWritten(), fetched.store_bytes_written);
   EXPECT_EQ(fetched.TotalBytesRead(), fetched.store_bytes_read);
@@ -335,18 +352,65 @@ TEST(RatelTrainerTest, StepStatsAccountTraffic) {
   ASSERT_TRUE((*trainer)->TrainStep(ids, targets, 1).ok());
   const StepStats& s = (*trainer)->last_step_stats();
   const int64_t p = model.NumParameters();
-  // Reads: 2P of P16 fetch + 12P of optimizer state per step.
-  EXPECT_EQ(s.bytes_read, 14 * p);
-  EXPECT_EQ(s.bytes_written, 14 * p);
+  // Reads: 4P of P32 fetch + 12P of optimizer state per step; writes:
+  // 12P of optimizer state (no fp16 copy is stored).
+  EXPECT_EQ(s.bytes_read, 16 * p);
+  EXPECT_EQ(s.bytes_written, 12 * p);
   // The same traffic, broken down by flow class.
-  EXPECT_EQ(s.xfer.Flow(FlowClass::kParamFetch).bytes_read, 2 * p);
+  EXPECT_EQ(s.xfer.Flow(FlowClass::kParamFetch).bytes_read, 4 * p);
   EXPECT_EQ(s.xfer.Flow(FlowClass::kParamFetch).bytes_written, 0);
   EXPECT_EQ(s.xfer.Flow(FlowClass::kGradState).bytes_read, 12 * p);
-  EXPECT_EQ(s.xfer.Flow(FlowClass::kGradState).bytes_written, 14 * p);
+  EXPECT_EQ(s.xfer.Flow(FlowClass::kGradState).bytes_written, 12 * p);
   EXPECT_EQ(s.xfer.Flow(FlowClass::kActivationSpill).bytes_read, 0);
   EXPECT_EQ(s.xfer.Flow(FlowClass::kCheckpoint).bytes_read, 0);
   EXPECT_GT(s.total_s, 0.0);
   EXPECT_GE(s.total_s + 1e-9, s.fetch_s + s.compute_s + s.optimizer_s - 1e-6);
+}
+
+TEST(RatelTrainerTest, ForwardWeightsAreNarrowedMasterCopies) {
+  // No fp16 copy is stored: each step's fetch reads P32 and narrows it
+  // on the host. The weights the forward pass ran on must be bitwise
+  // HalfToFloat(FloatToHalf(master)) of the master copy at fetch time —
+  // with the optimizer sync or async, with or without a DRAM tier.
+  for (const bool async : {false, true}) {
+    for (const int64_t cache_bytes : {int64_t{0}, int64_t{8} << 20}) {
+      SCOPED_TRACE(std::string(async ? "async" : "sync") +
+                   (cache_bytes > 0 ? " + DRAM tier" : " no tier"));
+      ag::TinyGpt model(SmallConfig(), 35);
+      TrainerOptions opts;
+      opts.store_dir = TempDir(std::string("narrow_") + (async ? "a" : "s") +
+                               (cache_bytes > 0 ? "c" : "n"));
+      opts.host_cache_bytes = cache_bytes;
+      opts.async_optimizer = async;
+      opts.async_partition_chunk = 64;
+      auto trainer = RatelTrainer::Create(&model, opts);
+      ASSERT_TRUE(trainer.ok()) << trainer.status().ToString();
+      Rng rng(13);
+      std::vector<int64_t> ids, targets;
+      for (int step = 0; step < 3; ++step) {
+        std::vector<std::vector<float>> masters;
+        for (const auto& [name, var] : model.parameters()) {
+          std::vector<float> master;
+          ASSERT_TRUE(
+              (*trainer)->optimizer().FetchMasterParams(name, &master).ok());
+          masters.push_back(std::move(master));
+        }
+        MakeBatch(rng, 2 * 8, 48, &ids, &targets);
+        ASSERT_TRUE((*trainer)->TrainStep(ids, targets, 2).ok());
+        size_t t = 0;
+        for (const auto& [name, var] : model.parameters()) {
+          const std::vector<float>& weights = var.value();
+          const std::vector<float>& master = masters[t++];
+          ASSERT_EQ(weights.size(), master.size()) << name;
+          for (size_t i = 0; i < weights.size(); ++i) {
+            const float want = HalfToFloat(FloatToHalf(master[i]));
+            ASSERT_EQ(std::memcmp(&weights[i], &want, sizeof(float)), 0)
+                << name << "[" << i << "] at step " << step;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(RatelTrainerTest, ThrottledStoreFavorsOptimizedPipeline) {

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Builds and runs the test suite under ThreadSanitizer and
-# AddressSanitizer, in separate build trees so sanitized objects never
-# mix with the regular build.
+# Builds and runs the test suite under ThreadSanitizer,
+# AddressSanitizer and UndefinedBehaviorSanitizer, in separate build
+# trees so sanitized objects never mix with the regular build. The UBSan
+# tree is built with -fno-sanitize-recover, so the first report fails
+# its test.
 #
 # Usage:
 #   tools/run_sanitized_tests.sh [label]
@@ -20,13 +22,14 @@
 # `replan`, the online re-planning loop whose FlowObserver windows race
 # the engine's workers and whose hot-swaps land between steps while the
 # async optimizer still holds deferred epochs in flight).
-# Without one the full suite runs under both sanitizers, which includes
+# Without one the full suite runs under every sanitizer, which includes
 # the tenant, codec, and replan labels. The replan label also rides the
 # determinism label, so its bitwise-identity assertions run under both
 # RATEL_SIMD modes.
 #
 # Environment:
-#   SANITIZERS   space-separated subset to run (default: "thread address")
+#   SANITIZERS   space-separated subset to run
+#                (default: "thread address undefined")
 #   JOBS         build/test parallelism (default: nproc)
 
 set -euo pipefail
@@ -36,7 +39,7 @@ REPO_ROOT="$(pwd)"
 
 LABEL="${1:-}"
 JOBS="${JOBS:-$(nproc)}"
-SANITIZERS="${SANITIZERS:-thread address}"
+SANITIZERS="${SANITIZERS:-thread address undefined}"
 
 # The determinism label additionally runs once per RATEL_SIMD backend:
 # the portable scalar build of the kernel source everywhere, plus its
