@@ -13,8 +13,6 @@
 // Usage: bench_async_optim [out.json]   (default: BENCH_async_optim.json)
 // RATEL_BENCH_SMOKE=1 shrinks the run to a CI-sized smoke.
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdlib>
 #include <iostream>
@@ -48,8 +46,7 @@ ModeResult RunMode(bool async, int steps, const ag::TinyGptConfig& cfg,
                    double write_bw) {
   ag::TinyGpt model(cfg, /*seed=*/17);
   TrainerOptions opts;
-  opts.store_dir = "/tmp/ratel_bench_async_" + std::to_string(::getpid()) +
-                   (async ? "_async" : "_sync");
+  opts.store_dir = bench::ScratchDir("async") + (async ? "/async" : "/sync");
   opts.num_stripes = 4;
   opts.stripe_chunk_bytes = 1 << 20;
   // The DRAM tier serves the foreground reads; only the store *writes*

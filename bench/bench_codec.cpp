@@ -15,8 +15,6 @@
 // Usage: bench_codec [out.json]   (default: BENCH_codec.json)
 // RATEL_BENCH_SMOKE=1 shrinks the run to a CI-sized smoke.
 
-#include <unistd.h>
-
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
@@ -50,8 +48,7 @@ ModeResult RunMode(const std::string& spec, const std::string& tag,
                    int steps, const ag::TinyGptConfig& cfg, double write_bw) {
   ag::TinyGpt model(cfg, /*seed=*/17);
   TrainerOptions opts;
-  opts.store_dir =
-      "/tmp/ratel_bench_codec_" + std::to_string(::getpid()) + "_" + tag;
+  opts.store_dir = bench::ScratchDir("codec") + "/" + tag;
   opts.num_stripes = 4;
   opts.stripe_chunk_bytes = 1 << 20;
   // No DRAM tier: every spill round-trips the throttled store, so the

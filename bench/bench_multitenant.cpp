@@ -27,8 +27,6 @@
 // Usage: bench_multitenant [out.json]   (default: BENCH_multitenant.json)
 // RATEL_BENCH_SMOKE=1 shrinks the run to a CI-sized smoke.
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -109,8 +107,8 @@ FleetResult RunFleet(bool fair_share, bool smoke, int steps) {
   const JobDemand bully_demand = PlanJobDemand(bully_cfg, 2);
 
   JobManager::Options options;
-  options.engine.dir = "/tmp/ratel_bench_mt_" + std::to_string(::getpid()) +
-                       (fair_share ? "_fair" : "_fifo");
+  options.engine.dir =
+      bench::ScratchDir("mt") + (fair_share ? "/fair" : "/fifo");
   options.engine.num_stripes = 4;
   options.engine.chunk_bytes = 1 << 18;
   options.engine.io_workers = 2;
@@ -224,8 +222,7 @@ ChurnResult RunChurn(bool smoke, uint64_t seed) {
   const JobDemand big_demand = PlanJobDemand(big_cfg, 2);
 
   JobManager::Options options;
-  options.engine.dir = "/tmp/ratel_bench_mt_" + std::to_string(::getpid()) +
-                       "_churn";
+  options.engine.dir = bench::ScratchDir("mt") + "/churn";
   options.engine.num_stripes = 4;
   options.engine.chunk_bytes = 1 << 18;
   options.engine.io_workers = 2;

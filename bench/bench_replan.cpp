@@ -25,8 +25,6 @@
 // Usage: bench_replan [out.json]   (default: BENCH_replan.json)
 // RATEL_BENCH_SMOKE=1 shrinks the run to a CI-sized smoke.
 
-#include <unistd.h>
-
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
@@ -90,8 +88,7 @@ ModeResult RunMode(const std::string& tag, bool replan_on, int kill_at,
   ag::TinyGpt model(cfg, /*seed=*/17);
   FaultInjector injector{FaultConfig{}};
   TrainerOptions opts;
-  opts.store_dir =
-      "/tmp/ratel_bench_replan_" + std::to_string(::getpid()) + "_" + tag;
+  opts.store_dir = bench::ScratchDir("replan") + "/" + tag;
   opts.num_stripes = 4;
   // Small stripe chunk: every spilled blob stripes across the array, so
   // the mid-run wear-out touches all write traffic, not one shard.

@@ -4,16 +4,14 @@
 //    matmul forward+backward — `matmul256/speedup_vs_seed` is the
 //    acceptance metric for the parallel compute layer (>= 3x at 4
 //    threads).
-//  - BENCH_datapath.json: the zero-copy pooled data path against the
-//    copying legacy path over the same hot working set, plus the
-//    AsyncUpdateEngine steady-state loop. Acceptance: >= 2x reduction in
-//    bytes-copied-per-step, and 0 pool misses per step after warmup.
+//  - BENCH_datapath.json: the pooled buffer data path over a hot working
+//    set, plus the AsyncUpdateEngine steady-state loop. Checked on every
+//    run (smoke included; a violation exits 1): 0 bytes copied and 0
+//    pool misses per step after warmup.
 //
 // Usage: bench_report [kernels.json] [datapath.json]
 //        (defaults: BENCH_kernels.json BENCH_datapath.json)
 // RATEL_BENCH_SMOKE=1 shrinks every workload to a CI-sized smoke run.
-
-#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
@@ -347,43 +345,36 @@ int main(int argc, char** argv) {
 
   // ----- Zero-copy data path report -----
   bench::BenchReport datapath("datapath");
-  const std::string bench_dir =
-      "/tmp/ratel_bench_report_" + std::to_string(::getpid());
+  const std::string bench_dir = bench::ScratchDir("report") + "/engine";
   const int64_t blob = smoke ? (64 << 10) : (256 << 10);
   const int kKeys = 4;
   const int steps = smoke ? 2 : 24;
 
-  // A/B: the same write+read working set through the legacy copying API
-  // and through pooled buffers, bytes-copied and pool misses per step
-  // read out of the engine's own accounting (measured, not asserted).
-  auto run_mode = [&](bool pooled, double* bytes_copied_per_step,
-                      double* pool_allocs_per_step) -> bool {
+  // The write+read working set through pooled buffers; bytes copied and
+  // pool misses per step come out of the engine's own accounting.
+  double pooled_bytes = 0, pooled_allocs = 0;
+  {
     TransferOptions opts;
-    opts.dir = bench_dir + (pooled ? "_pooled" : "_copying");
+    opts.dir = bench_dir + "_pooled";
     opts.num_stripes = 4;
     opts.chunk_bytes = 1 << 20;
     opts.host_cache_bytes = int64_t{64} << 20;
     opts.io_workers = 2;
     auto engine = TransferEngine::Open(opts);
-    if (!engine.ok()) return false;
-    std::vector<uint8_t> data(blob, 0x5A);
-    std::vector<uint8_t> out(blob);
+    if (!engine.ok()) {
+      std::cerr << "datapath bench: engine open failed\n";
+      return 1;
+    }
     auto one_step = [&] {
       for (int k = 0; k < kKeys; ++k) {
         const std::string key = "k" + std::to_string(k);
-        if (pooled) {
-          Buffer payload = (*engine)->buffer_pool().Lease(blob);
-          std::memset(payload.mutable_data(), k, blob);
-          (void)(*engine)->WriteBuffer(FlowClass::kGradState, key,
-                                       std::move(payload));
-          Buffer in;
-          (void)(*engine)->Wait(
-              (*engine)->SubmitRead(FlowClass::kGradState, key, &in, blob));
-        } else {
-          (void)(*engine)->Write(FlowClass::kGradState, key, data.data(),
-                                 blob);
-          (void)(*engine)->Read(FlowClass::kGradState, key, out.data(), blob);
-        }
+        Buffer payload = (*engine)->buffer_pool().Lease(blob);
+        std::memset(payload.mutable_data(), k, blob);
+        (void)(*engine)->WriteBuffer(FlowClass::kGradState, key,
+                                     std::move(payload));
+        Buffer in;
+        (void)(*engine)->Wait(
+            (*engine)->SubmitRead(FlowClass::kGradState, key, &in, blob));
       }
     };
     // Warmup twice: pass 1 populates the tier (which pins one generation
@@ -396,25 +387,22 @@ int main(int argc, char** argv) {
     for (int i = 0; i < steps; ++i) one_step();
     const TransferStats d = Delta((*engine)->stats(), t0);
     const BufferPool::Stats p1 = (*engine)->buffer_pool().stats();
-    int64_t copied = 0;
-    for (int i = 0; i < kNumFlowClasses; ++i) copied += d.flow[i].bytes_copied;
-    *bytes_copied_per_step = static_cast<double>(copied) / steps;
-    *pool_allocs_per_step =
+    // A failed transfer copies nothing: it must fail the bench, not pass
+    // the zero-copy check below.
+    int64_t copied = 0, errors = 0;
+    for (const FlowCounters& c : d.flow) {
+      copied += c.bytes_copied;
+      errors += c.errors;
+    }
+    if (errors > 0) {
+      std::cerr << "datapath bench: " << errors << " failed transfers\n";
+      return 1;
+    }
+    pooled_bytes = static_cast<double>(copied) / steps;
+    pooled_allocs =
         static_cast<double>(p1.allocations - p0.allocations) / steps;
-    return true;
-  };
-  double copying_bytes = 0, copying_allocs = 0;
-  double pooled_bytes = 0, pooled_allocs = 0;
-  if (!run_mode(false, &copying_bytes, &copying_allocs) ||
-      !run_mode(true, &pooled_bytes, &pooled_allocs)) {
-    std::cerr << "datapath bench: engine open failed\n";
-    return 1;
   }
-  datapath.Add("xfer/copying_bytes_copied_per_step", 1, copying_bytes, "B");
   datapath.Add("xfer/pooled_bytes_copied_per_step", 1, pooled_bytes, "B");
-  datapath.Add("xfer/copy_reduction", 1,
-               copying_bytes / std::max(pooled_bytes, 1.0), "x");
-  datapath.Add("xfer/copying_pool_misses_per_step", 1, copying_allocs, "");
   datapath.Add("xfer/pooled_pool_misses_per_step", 1, pooled_allocs, "");
 
   // AsyncUpdateEngine steady state: the read->update->writeback pipeline
@@ -451,8 +439,17 @@ int main(int argc, char** argv) {
     for (int i = 0; i < steps; ++i) (void)adam.StepTensor("w", grads16);
     const TransferStats d = Delta((*engine)->stats(), t0);
     const BufferPool::Stats p1 = (*engine)->buffer_pool().stats();
-    int64_t copied = 0;
-    for (int i = 0; i < kNumFlowClasses; ++i) copied += d.flow[i].bytes_copied;
+    // A failed transfer copies nothing: it must fail the bench, not pass
+    // the zero-copy check below.
+    int64_t copied = 0, errors = 0;
+    for (const FlowCounters& c : d.flow) {
+      copied += c.bytes_copied;
+      errors += c.errors;
+    }
+    if (errors > 0) {
+      std::cerr << "datapath bench: " << errors << " failed transfers\n";
+      return 1;
+    }
     datapath.Add("adam/bytes_copied_per_step", 1,
                  static_cast<double>(copied) / steps, "B");
     datapath.Add("adam/pool_misses_per_step", 1,
@@ -468,5 +465,15 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::cout << "\nwrote " << datapath_path << "\n";
+  // Every datapath entry is a per-step host-copy or pool-miss count, and
+  // the buffer-native movement path's contract is that all of them are 0
+  // after warmup.
+  for (const bench::BenchReport::Entry& e : datapath.entries()) {
+    if (e.value != 0.0) {
+      std::cerr << "datapath check failed: " << e.name << " = " << e.value
+                << ", expected 0\n";
+      return 1;
+    }
+  }
   return 0;
 }

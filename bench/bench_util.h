@@ -1,6 +1,10 @@
 #ifndef RATEL_BENCH_BENCH_UTIL_H_
 #define RATEL_BENCH_BENCH_UTIL_H_
 
+#include <stdlib.h>
+
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -127,6 +131,29 @@ class BenchReport {
   std::string report_name_;
   std::vector<Entry> entries_;
 };
+
+/// This process's scratch directory for engine stores:
+/// `/tmp/ratel_bench_<name>_XXXXXX` (mkdtemp), created on the first call
+/// and removed with everything under it when the process exits. The
+/// first call's `name` wins.
+inline const std::string& ScratchDir(const std::string& name) {
+  struct Dir {
+    std::string path;
+    explicit Dir(const std::string& name)
+        : path("/tmp/ratel_bench_" + name + "_XXXXXX") {
+      if (::mkdtemp(path.data()) == nullptr) {
+        std::cerr << "mkdtemp(" << path << ") failed\n";
+        std::exit(1);
+      }
+    }
+    ~Dir() {
+      std::error_code ec;
+      std::filesystem::remove_all(path, ec);
+    }
+  };
+  static const Dir dir(name);
+  return dir.path;
+}
 
 /// The evaluation server (Table III) with a chosen GPU/memory/SSD count.
 inline ServerConfig Server(const GpuSpec& gpu, int64_t mem_gib, int ssds) {

@@ -3,12 +3,12 @@
 // aggregate-bandwidth question of Fig. 10.
 
 #include <benchmark/benchmark.h>
-#include <unistd.h>
 
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "common/rng.h"
 #include "storage/block_store.h"
 
@@ -18,7 +18,7 @@ using ratel::BlockStore;
 using ratel::Rng;
 
 std::string Dir(const std::string& tag) {
-  return "/tmp/ratel_bench_store_" + tag + "_" + std::to_string(::getpid());
+  return ratel::bench::ScratchDir("store") + "/" + tag;
 }
 
 void BM_BlockStorePut(benchmark::State& state) {

@@ -1,18 +1,19 @@
 // Microbenchmark: transfer-engine throughput by flow class and priority
 // mix. Measures (a) per-flow write/read bandwidth through the full
 // facade (accounting + scheduler + store), (b) the DRAM-tier fast path
-// against the store path, and (c) a mixed critical/background drain that
-// mirrors one training step's competing flows (P16 fetch vs P32/OS32
-// writeback, §IV-C).
+// against the store path, (c) a mixed critical/background drain that
+// mirrors one training step's competing flows (parameter fetch vs
+// P32/OS32 writeback, §IV-C), and (d) the pooled buffer data path's
+// steady-state copy and pool-miss counts.
 
 #include <benchmark/benchmark.h>
-#include <unistd.h>
 
 #include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "common/rng.h"
 #include "xfer/transfer_engine.h"
 
@@ -25,7 +26,7 @@ using ratel::TransferEngine;
 using ratel::TransferOptions;
 
 std::string Dir(const std::string& tag) {
-  return "/tmp/ratel_bench_xfer_" + tag + "_" + std::to_string(::getpid());
+  return ratel::bench::ScratchDir("xfer") + "/" + tag;
 }
 
 std::unique_ptr<TransferEngine> OpenOrDie(const std::string& tag,
@@ -117,7 +118,7 @@ void BM_EngineMixedPriorityDrain(benchmark::State& state) {
     (void)engine->Write(FlowClass::kParamFetch, "p" + std::to_string(i),
                         data.data(), blob_size);
   }
-  std::vector<std::vector<uint8_t>> outs(fetches);
+  std::vector<ratel::Buffer> outs(fetches);
   for (auto _ : state) {
     for (int i = 0; i < keys; ++i) {
       if (i < writebacks) {
@@ -146,42 +147,30 @@ BENCHMARK(BM_EngineMixedPriorityDrain)
     ->Args({16, 16})   // balanced contention
     ->Args({32, 8});   // fetch-heavy (the starvation-prone regime)
 
-// Pooled (buffer-native) vs copying (legacy pointer) A/B over the same
-// hot working set: write + read back 4 blobs per step through the DRAM
-// tier. The per-step counters come from the engine's own accounting —
-// bytes_copied_per_step is the host-copy traffic the pooled mode
-// eliminates, pool_allocs_per_step the steady-state pool misses (0 once
-// the free lists are warm).
-void BM_EngineDataPathABMode(benchmark::State& state) {
-  const bool pooled = state.range(0) != 0;
+// The pooled buffer data path over a hot working set: write + read back
+// 4 blobs per step through the DRAM tier. The per-step counters come
+// from the engine's own accounting: bytes_copied_per_step is host-copy
+// traffic (0 on this path), pool_allocs_per_step the steady-state pool
+// misses (0 once the free lists are warm).
+void BM_EnginePooledDataPath(benchmark::State& state) {
   const int64_t blob_size = 256 << 10;
   constexpr int kKeys = 4;
-  auto engine = OpenOrDie(pooled ? "ab_pooled" : "ab_copying",
-                          /*cache_bytes=*/int64_t{64} << 20, state);
+  auto engine = OpenOrDie("pooled", /*cache_bytes=*/int64_t{64} << 20, state);
   if (!engine) return;
-  std::vector<uint8_t> data(blob_size, 0x5A);
-  std::vector<uint8_t> out(blob_size);
   auto step = [&] {
     for (int k = 0; k < kKeys; ++k) {
       const std::string key = "k" + std::to_string(k);
-      if (pooled) {
-        ratel::Buffer payload = engine->buffer_pool().Lease(blob_size);
-        std::memset(payload.mutable_data(), k, blob_size);
-        benchmark::DoNotOptimize(
-            engine->WriteBuffer(FlowClass::kGradState, key,
-                                std::move(payload)).ok());
-        ratel::Buffer in;
-        benchmark::DoNotOptimize(
-            engine->Wait(engine->SubmitRead(FlowClass::kGradState, key, &in,
-                                            blob_size)).ok());
-      } else {
-        benchmark::DoNotOptimize(
-            engine->Write(FlowClass::kGradState, key, data.data(), blob_size)
-                .ok());
-        benchmark::DoNotOptimize(
-            engine->Read(FlowClass::kGradState, key, out.data(), blob_size)
-                .ok());
-      }
+      ratel::Buffer payload = engine->buffer_pool().Lease(blob_size);
+      std::memset(payload.mutable_data(), k, blob_size);
+      benchmark::DoNotOptimize(
+          engine->WriteBuffer(FlowClass::kGradState, key, std::move(payload))
+              .ok());
+      ratel::Buffer in;
+      benchmark::DoNotOptimize(
+          engine
+              ->Wait(engine->SubmitRead(FlowClass::kGradState, key, &in,
+                                        blob_size))
+              .ok());
     }
   };
   // Warmup twice: pass 1 populates the tier (which pins one generation
@@ -204,9 +193,8 @@ void BM_EngineDataPathABMode(benchmark::State& state) {
   state.counters["pool_allocs_per_step"] = benchmark::Counter(
       static_cast<double>(p1.allocations - p0.allocations) / steps);
   state.SetBytesProcessed(state.iterations() * 2 * kKeys * blob_size);
-  state.SetLabel(pooled ? "pooled" : "copying");
 }
-BENCHMARK(BM_EngineDataPathABMode)->Arg(0)->Arg(1);
+BENCHMARK(BM_EnginePooledDataPath);
 
 // Codec A/B on the spill flow: the same float working set round-tripped
 // raw, framed (identity), demoted (fp16), and sparsified (topk). The

@@ -6,24 +6,19 @@
 #include <mutex>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "common/logging.h"
 
 namespace ratel {
 namespace internal {
 
-/// One backing allocation. Either owns a raw capacity (`bytes`) or an
-/// adopted vector (`adopted`); `origin` points back to the pool that
-/// leased it (empty for standalone buffers).
+/// One backing allocation of `capacity` bytes; `origin` points back to
+/// the pool that leased it (empty for standalone buffers).
 struct BufferBlock {
   std::unique_ptr<uint8_t[]> bytes;
-  std::vector<uint8_t> adopted;  // FromVector storage
   int64_t capacity = 0;
   std::weak_ptr<BufferPoolState> origin;
-
-  uint8_t* ptr() {
-    return bytes != nullptr ? bytes.get() : adopted.data();
-  }
 };
 
 struct BufferPoolState {
@@ -77,7 +72,7 @@ Buffer& Buffer::operator=(Buffer&& other) noexcept {
 
 Buffer::Buffer(std::shared_ptr<internal::BufferBlock> block, int64_t size)
     : block_(std::move(block)), size_(size) {
-  data_ = block_ != nullptr ? block_->ptr() : nullptr;
+  data_ = block_ != nullptr ? block_->bytes.get() : nullptr;
 }
 
 void Buffer::reset() {
@@ -101,17 +96,6 @@ Buffer Buffer::CopyOf(const void* data, int64_t size) {
   Buffer buffer = Allocate(size);
   if (size > 0) std::memcpy(buffer.mutable_data(), data, size);
   return buffer;
-}
-
-Buffer Buffer::FromVector(std::vector<uint8_t> bytes) {
-  if (bytes.empty()) return Buffer();
-  auto* block = new internal::BufferBlock();
-  block->adopted = std::move(bytes);
-  block->capacity = static_cast<int64_t>(block->adopted.size());
-  const int64_t size = block->capacity;
-  return Buffer(
-      std::shared_ptr<internal::BufferBlock>(block, &internal::ReleaseBlock),
-      size);
 }
 
 BufferPool::BufferPool(int64_t min_block_bytes)

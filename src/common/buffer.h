@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 namespace ratel {
 
@@ -41,9 +40,6 @@ class Buffer {
 
   /// Standalone buffer holding a copy of `[data, data + size)`.
   static Buffer CopyOf(const void* data, int64_t size);
-
-  /// Adopts `bytes` (moved, no copy) as a standalone buffer.
-  static Buffer FromVector(std::vector<uint8_t> bytes);
 
   const uint8_t* data() const { return data_; }
   int64_t size() const { return size_; }

@@ -1,15 +1,12 @@
 #include "mem/tier_cache.h"
 
-#include <cstring>
 #include <utility>
 
 #include "common/logging.h"
 
 namespace ratel {
 
-TierCache::TierCache(BlockStore* backing, int64_t capacity_bytes)
-    : backing_(backing), capacity_(capacity_bytes) {
-  RATEL_CHECK(backing != nullptr);
+TierCache::TierCache(int64_t capacity_bytes) : capacity_(capacity_bytes) {
   RATEL_CHECK(capacity_bytes >= 0);
 }
 
@@ -91,65 +88,6 @@ void TierCache::InsertLocked(const std::string& key, Buffer data,
   tenant_bytes_[tenant] += size;
   if (pins > 0) stats_.pinned_bytes += size;
   EvictTenantToQuotaLocked(tenant, key);
-}
-
-Status TierCache::Put(const std::string& key, const void* data, int64_t size,
-                      int tenant) {
-  RATEL_RETURN_IF_ERROR(backing_->Put(key, data, size));
-  std::lock_guard<std::mutex> lock(mu_);
-  InsertLocked(key, Buffer::CopyOf(data, size), tenant);
-  return Status::Ok();
-}
-
-Status TierCache::Get(const std::string& key, void* out, int64_t size) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      if (static_cast<int64_t>(it->second.data.size()) != size) {
-        return Status::InvalidArgument("cached blob '" + key +
-                                       "' has a different size");
-      }
-      std::memcpy(out, it->second.data.data(), size);
-      // Touch.
-      lru_.erase(it->second.lru_it);
-      lru_.push_front(key);
-      it->second.lru_it = lru_.begin();
-      ++stats_.hits;
-      stats_.hit_bytes += size;
-      return Status::Ok();
-    }
-    ++stats_.misses;
-    stats_.miss_bytes += size;
-  }
-  RATEL_RETURN_IF_ERROR(backing_->Get(key, out, size));
-  std::lock_guard<std::mutex> lock(mu_);
-  InsertLocked(key, Buffer::CopyOf(out, size), 0);
-  return Status::Ok();
-}
-
-bool TierCache::TryGet(const std::string& key, void* out, int64_t size) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(key);
-  if (it == entries_.end() ||
-      static_cast<int64_t>(it->second.data.size()) != size) {
-    ++stats_.misses;
-    stats_.miss_bytes += size;
-    return false;
-  }
-  std::memcpy(out, it->second.data.data(), size);
-  lru_.erase(it->second.lru_it);
-  lru_.push_front(key);
-  it->second.lru_it = lru_.begin();
-  ++stats_.hits;
-  stats_.hit_bytes += size;
-  return true;
-}
-
-void TierCache::Admit(const std::string& key, const void* data, int64_t size,
-                      int tenant) {
-  std::lock_guard<std::mutex> lock(mu_);
-  InsertLocked(key, Buffer::CopyOf(data, size), tenant);
 }
 
 void TierCache::AdmitBuffer(const std::string& key, Buffer data, int tenant) {

@@ -9,18 +9,17 @@
 #include <vector>
 
 #include "common/buffer.h"
-#include "common/status.h"
-#include "storage/block_store.h"
 
 namespace ratel {
 
-/// Write-through LRU cache in host memory in front of the block store —
-/// the "main memory" tier of the paper's GPU / main-memory / SSD
-/// hierarchy. Hot tensors (e.g. the P16 blocks of small models, or the
-/// most recently produced activations) are served from DRAM; cold ones
-/// fall through to the "SSDs".
+/// LRU cache of published buffers in host memory — the "main memory"
+/// tier of the paper's GPU / main-memory / SSD hierarchy. Hot tensors
+/// (e.g. the P32 blocks of small models, or the most recently produced
+/// activations) are served from DRAM. The cache never touches the store:
+/// the transfer engine owns every store leg, admits what it writes or
+/// reads, and falls through to the "SSDs" on a miss.
 ///
-/// Thread-safe; concurrent Get/Put on any keys are allowed.
+/// Thread-safe; concurrent probes and admits on any keys are allowed.
 ///
 /// Entries carry the tenant that admitted them. A tenant may be given a
 /// resident-byte quota (SetTenantQuota): once the tenant's bytes exceed
@@ -31,38 +30,18 @@ namespace ratel {
 /// explicitly capped, so single-job behavior is unchanged.
 class TierCache {
  public:
-  /// `backing` must outlive the cache. `capacity_bytes` bounds the DRAM
-  /// tier (0 disables caching entirely: everything falls through).
-  TierCache(BlockStore* backing, int64_t capacity_bytes);
+  /// `capacity_bytes` bounds the DRAM tier (0 disables caching entirely:
+  /// every probe misses).
+  explicit TierCache(int64_t capacity_bytes);
 
-  /// Writes through: updates the cache (evicting LRU entries as needed)
-  /// and the backing store.
-  Status Put(const std::string& key, const void* data, int64_t size,
-             int tenant = 0);
-
-  /// Serves from DRAM on hit; otherwise reads the backing store and
-  /// promotes the blob.
-  Status Get(const std::string& key, void* out, int64_t size);
-
-  /// Hit-only probe: copies the blob into `out` and returns true on a
-  /// DRAM hit of exactly `size` bytes; returns false (counted as a
-  /// miss) without touching the backing store otherwise. Lets a caller
-  /// that owns the store-level I/O path (the transfer engine) split the
-  /// hit and miss legs itself.
-  bool TryGet(const std::string& key, void* out, int64_t size);
-
-  /// Inserts/overwrites the DRAM copy without writing the backing store
-  /// — promotion after a caller-performed store read, or the DRAM leg
-  /// of a write the caller sends to the store asynchronously. The entry
+  /// Inserts/overwrites the DRAM entry — promotion after a store read,
+  /// or the DRAM leg of a write the engine sends to the store
+  /// asynchronously. The cache takes a reference to `data` (no memcpy);
+  /// it must be published (no holder mutates it afterwards). The entry
   /// is charged to `tenant`'s resident-byte budget.
-  void Admit(const std::string& key, const void* data, int64_t size,
-             int tenant = 0);
-
-  /// Zero-copy Admit: the cache takes a reference to `data` (no memcpy).
-  /// The buffer must be published (no holder mutates it afterwards).
   void AdmitBuffer(const std::string& key, Buffer data, int tenant = 0);
 
-  /// Zero-copy hit-only probe: on a DRAM hit of exactly `size` bytes,
+  /// Hit-only probe: on a DRAM hit of exactly `size` bytes,
   /// points `*out` at the cached buffer (a new reference, no memcpy) and
   /// returns true; otherwise counts a miss and returns false. The
   /// returned ref stays valid — and keeps reading the same bytes — even
@@ -138,7 +117,6 @@ class TierCache {
   void RemoveEntryLocked(std::unordered_map<std::string, CacheEntry>::iterator
                              it);
 
-  BlockStore* backing_;  // not owned
   int64_t capacity_;
   mutable std::mutex mu_;
   std::list<std::string> lru_;  // front = most recent

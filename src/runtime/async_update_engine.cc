@@ -441,31 +441,6 @@ Status AsyncUpdateEngine::FetchMasterParams(const std::string& name,
                        4 * n);
 }
 
-Status AsyncUpdateEngine::ExportState(const std::string& name, int64_t* step,
-                                      std::vector<float>* p32,
-                                      std::vector<float>* m,
-                                      std::vector<float>* v) const {
-  int64_t n = 0;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    auto it = meta_.find(name);
-    if (it == meta_.end()) {
-      return Status::NotFound("tensor '" + name + "' not registered");
-    }
-    n = it->second.size;
-    RATEL_RETURN_IF_ERROR(DrainMetaLocked(lock, it->second));
-    *step = it->second.step;
-  }
-  p32->resize(n);
-  m->resize(n);
-  v->resize(n);
-  RATEL_RETURN_IF_ERROR(
-      engine_->Read(FlowClass::kCheckpoint, P32Key(name), p32->data(), 4 * n));
-  RATEL_RETURN_IF_ERROR(
-      engine_->Read(FlowClass::kCheckpoint, MomKey(name), m->data(), 4 * n));
-  return engine_->Read(FlowClass::kCheckpoint, VarKey(name), v->data(), 4 * n);
-}
-
 Status AsyncUpdateEngine::ExportStateBuffers(const std::string& name,
                                              int64_t* step, Buffer* p32,
                                              Buffer* m, Buffer* v) const {

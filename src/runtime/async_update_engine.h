@@ -163,15 +163,10 @@ class AsyncUpdateEngine {
   /// Reads the complete optimizer state of `name` — P32, both moment
   /// buffers, and the per-tensor Adam step — as FlowClass::kCheckpoint
   /// traffic. Drains first: the crash-consistent checkpoint read path
-  /// never snapshots a tensor mid-epoch.
-  Status ExportState(const std::string& name, int64_t* step,
-                     std::vector<float>* p32, std::vector<float>* m,
-                     std::vector<float>* v) const;
-
-  /// Zero-copy ExportState: yields published (read-only) buffer refs to
-  /// P32 and the moments — DRAM-hot state costs no host copy, cold
-  /// state lands in pooled staging. The checkpoint writer streams shard
-  /// payloads straight out of these.
+  /// never snapshots a tensor mid-epoch. Yields published (read-only)
+  /// buffer refs — DRAM-hot state costs no host copy, cold state lands
+  /// in pooled staging. The checkpoint writer streams shard payloads
+  /// straight out of these.
   Status ExportStateBuffers(const std::string& name, int64_t* step,
                             Buffer* p32, Buffer* m, Buffer* v) const;
 

@@ -11,41 +11,21 @@ Prefetcher::Prefetcher(TransferEngine* engine, FlowClass flow,
     : engine_(engine),
       flow_(flow),
       requests_(std::move(requests)),
-      depth_(static_cast<size_t>(std::max(1, depth))),
-      total_(0) {
+      depth_(static_cast<size_t>(std::max(1, depth))) {
   RATEL_CHECK(engine != nullptr);
-  total_ = requests_.size();
   std::lock_guard<std::mutex> lock(mu_);
   while (submitted_ < requests_.size() && pending_.size() < depth_) {
     SubmitNextLocked();
   }
 }
 
-Prefetcher::Prefetcher(std::vector<std::string> keys, int depth, FetchFn fetch)
-    : keys_(std::move(keys)),
-      depth_(static_cast<size_t>(std::max(1, depth))),
-      fetch_(std::move(fetch)) {
-  RATEL_CHECK(fetch_ != nullptr);
-  total_ = keys_.size();
-  worker_ = std::thread([this] { Worker(); });
-}
-
 Prefetcher::~Prefetcher() {
-  if (engine_ != nullptr) {
-    // The in-flight reads target pending_'s buffers; resolve them
-    // before the buffers die.
-    std::lock_guard<std::mutex> lock(mu_);
-    for (Pending& p : pending_) {
-      if (p.ticket != Pending::kNoTicket) (void)engine_->Wait(p.ticket);
-    }
-    return;
+  // The in-flight reads target pending_'s buffers; resolve them before
+  // the buffers die.
+  std::lock_guard<std::mutex> lock(mu_);
+  for (Pending& p : pending_) {
+    if (p.ticket != Pending::kNoTicket) (void)engine_->Wait(p.ticket);
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    shutdown_ = true;
-  }
-  slot_free_.notify_all();
-  worker_.join();
 }
 
 void Prefetcher::SubmitNextLocked() {
@@ -66,66 +46,30 @@ void Prefetcher::SubmitNextLocked() {
   p.ticket = engine_->SubmitRead(flow_, req.key, &p.item.data, req.size);
 }
 
-void Prefetcher::Worker() {
-  for (const std::string& key : keys_) {
-    // Claim a window slot first so at most `depth` blobs are ever
-    // buffered (the lookahead bound), then fetch outside the lock.
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      slot_free_.wait(lock, [this] {
-        return shutdown_ || window_.size() < depth_;
-      });
-      if (shutdown_) return;
-    }
-    Item item;
-    item.key = key;
-    std::vector<uint8_t> bytes;
-    item.status = fetch_(key, &bytes);
-    item.data = Buffer::FromVector(std::move(bytes));  // adopt, no copy
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (shutdown_) return;
-      window_.push_back(std::move(item));
-      ++produced_;
-    }
-    item_ready_.notify_one();
-  }
-}
-
 Prefetcher::Item Prefetcher::Next() {
-  if (engine_ != nullptr) {
-    TransferEngine::Ticket ticket;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      RATEL_CHECK(consumed_ < total_) << "Next() called past the end";
-      RATEL_CHECK(!pending_.empty());
-      ticket = pending_.front().ticket;
-    }
-    // Wait outside the lock; only Next() pops, so the front is stable.
-    // A gated-out request has no ticket — its status is already set.
-    Status status;
-    if (ticket != Pending::kNoTicket) status = engine_->Wait(ticket);
+  TransferEngine::Ticket ticket;
+  {
     std::lock_guard<std::mutex> lock(mu_);
-    Item item = std::move(pending_.front().item);
-    if (ticket != Pending::kNoTicket) item.status = status;
-    pending_.pop_front();
-    ++consumed_;
-    if (submitted_ < requests_.size()) SubmitNextLocked();
-    return item;
+    RATEL_CHECK(consumed_ < requests_.size()) << "Next() called past the end";
+    RATEL_CHECK(!pending_.empty());
+    ticket = pending_.front().ticket;
   }
-  std::unique_lock<std::mutex> lock(mu_);
-  RATEL_CHECK(consumed_ < total_) << "Next() called past the end";
-  item_ready_.wait(lock, [this] { return !window_.empty(); });
-  Item item = std::move(window_.front());
-  window_.pop_front();
+  // Wait outside the lock; only Next() pops, so the front is stable.
+  // A gated-out request has no ticket — its status is already set.
+  Status status;
+  if (ticket != Pending::kNoTicket) status = engine_->Wait(ticket);
+  std::lock_guard<std::mutex> lock(mu_);
+  Item item = std::move(pending_.front().item);
+  if (ticket != Pending::kNoTicket) item.status = status;
+  pending_.pop_front();
   ++consumed_;
-  slot_free_.notify_one();
+  if (submitted_ < requests_.size()) SubmitNextLocked();
   return item;
 }
 
 int64_t Prefetcher::remaining() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<int64_t>(total_ - consumed_);
+  return static_cast<int64_t>(requests_.size() - consumed_);
 }
 
 }  // namespace ratel

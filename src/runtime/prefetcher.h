@@ -1,13 +1,11 @@
 #ifndef RATEL_RUNTIME_PREFETCHER_H_
 #define RATEL_RUNTIME_PREFETCHER_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/status.h"
@@ -21,14 +19,11 @@ namespace ratel {
 /// parameter prefetch stream of the forward stage (Section IV-A), where
 /// compute on block i overlaps the fetch of blocks i+1..i+depth.
 ///
-/// Two modes:
-///  - *Engine mode* (preferred): up to `depth` asynchronous reads are
-///    kept in flight on a TransferEngine under a given flow class; no
-///    extra thread — the engine's I/O workers provide the overlap.
-///  - *Legacy thread mode*: a background thread calls a caller-supplied
-///    fetch function per key (for sources that are not engine blobs).
+/// Up to `depth` asynchronous reads are kept in flight on a
+/// TransferEngine under a given flow class; there is no extra thread —
+/// the engine's I/O workers provide the overlap.
 ///
-/// Usage (engine mode):
+/// Usage:
 ///   Prefetcher pf(&engine, FlowClass::kParamFetch,
 ///                 {{key0, size0}, {key1, size1}, ...}, depth);
 ///   for (...) { auto item = pf.Next(); /* item.data */ }
@@ -43,33 +38,25 @@ class Prefetcher {
     Status status;  // non-OK if this key's fetch failed
   };
 
-  /// Engine-mode unit of work: a blob key and its exact size. The
-  /// optional `gate` is invoked (on the consumer thread) right before
-  /// this key's read is submitted — the per-tensor dependency hook the
-  /// async optimizer uses so a P16 fetch never overtakes that tensor's
-  /// in-flight deferred update. A failing gate surfaces as the item's
-  /// status; the read is not submitted.
+  /// Unit of work: a blob key and its exact size. The optional `gate`
+  /// is invoked (on the consumer thread) right before this key's read
+  /// is submitted — the per-tensor dependency hook the async optimizer
+  /// uses so a parameter fetch never overtakes that tensor's in-flight
+  /// deferred update. A failing gate surfaces as the item's status; the
+  /// read is not submitted.
   struct Request {
     std::string key;
     int64_t size = 0;
     std::function<Status()> gate;
   };
 
-  using FetchFn =
-      std::function<Status(const std::string& key, std::vector<uint8_t>* out)>;
-
-  /// Engine mode: starts fetching immediately, keeping at most `depth`
-  /// reads in flight on `engine` (not owned). All reads are tagged
-  /// `flow` and ride the engine's DRAM tier and priority classes.
+  /// Starts fetching immediately, keeping at most `depth` reads in
+  /// flight on `engine` (not owned). All reads are tagged `flow` and
+  /// ride the engine's DRAM tier and priority classes.
   Prefetcher(TransferEngine* engine, FlowClass flow,
              std::vector<Request> requests, int depth);
 
-  /// Legacy thread mode: starts fetching immediately. `depth` bounds
-  /// the number of undrained items in flight (backpressure: the window
-  /// is the "GPU buffer").
-  Prefetcher(std::vector<std::string> keys, int depth, FetchFn fetch);
-
-  /// Joins/waits outstanding work; undrained items are discarded.
+  /// Waits out the in-flight reads; undrained items are discarded.
   ~Prefetcher();
 
   Prefetcher(const Prefetcher&) = delete;
@@ -91,30 +78,17 @@ class Prefetcher {
     TransferEngine::Ticket ticket = kNoTicket;
   };
 
-  void Worker();
   void SubmitNextLocked();
 
-  // Engine mode.
-  TransferEngine* engine_ = nullptr;  // null in thread mode
-  FlowClass flow_ = FlowClass::kParamFetch;
+  TransferEngine* engine_;
+  FlowClass flow_;
   std::vector<Request> requests_;
+  size_t depth_;
   std::deque<Pending> pending_;  // deque: stable buffer addresses
   size_t submitted_ = 0;
 
-  // Thread mode.
-  std::vector<std::string> keys_;
-  size_t depth_ = 1;
-  FetchFn fetch_;
-  std::condition_variable item_ready_;
-  std::condition_variable slot_free_;
-  std::deque<Item> window_;
-  size_t produced_ = 0;
-  bool shutdown_ = false;
-  std::thread worker_;
-
   mutable std::mutex mu_;
   size_t consumed_ = 0;
-  size_t total_ = 0;
 };
 
 }  // namespace ratel

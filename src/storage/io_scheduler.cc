@@ -118,24 +118,6 @@ void IoScheduler::SetTenantWeight(int tenant, int weight) {
 }
 
 IoScheduler::Ticket IoScheduler::SubmitWrite(const std::string& key,
-                                             const void* data, int64_t size,
-                                             Priority priority,
-                                             CompletionFn on_complete,
-                                             int flow_tag, int tenant_tag) {
-  Request req;
-  req.is_write = true;
-  req.key = key;
-  req.payload = Buffer::CopyOf(data, size);
-  req.out = nullptr;
-  req.size = size;
-  req.priority = priority;
-  req.on_complete = std::move(on_complete);
-  req.flow_tag = flow_tag;
-  req.tenant_tag = tenant_tag;
-  return Enqueue(std::move(req));
-}
-
-IoScheduler::Ticket IoScheduler::SubmitWrite(const std::string& key,
                                              Buffer payload,
                                              Priority priority,
                                              CompletionFn on_complete,
@@ -145,25 +127,6 @@ IoScheduler::Ticket IoScheduler::SubmitWrite(const std::string& key,
   req.key = key;
   req.size = payload.size();
   req.payload = std::move(payload);
-  req.out = nullptr;
-  req.priority = priority;
-  req.on_complete = std::move(on_complete);
-  req.flow_tag = flow_tag;
-  req.tenant_tag = tenant_tag;
-  return Enqueue(std::move(req));
-}
-
-IoScheduler::Ticket IoScheduler::SubmitRead(const std::string& key,
-                                            std::vector<uint8_t>* out,
-                                            int64_t size, Priority priority,
-                                            CompletionFn on_complete,
-                                            int flow_tag, int tenant_tag) {
-  RATEL_CHECK(out != nullptr);
-  Request req;
-  req.is_write = false;
-  req.key = key;
-  req.out = out;
-  req.size = size;
   req.priority = priority;
   req.on_complete = std::move(on_complete);
   req.flow_tag = flow_tag;
@@ -179,7 +142,6 @@ IoScheduler::Ticket IoScheduler::SubmitRead(const std::string& key,
   Request req;
   req.is_write = false;
   req.key = key;
-  req.out = nullptr;
   req.size = dst.size();
   req.dst = std::move(dst);
   req.priority = priority;
@@ -209,12 +171,7 @@ IoResult IoScheduler::Execute(Request& req) {
       if (tuning_.read_channel != nullptr) {
         tuning_.read_channel->Consume(req.size);
       }
-      if (req.out != nullptr) {
-        req.out->resize(req.size);
-        status = store_->Get(req.key, req.out->data(), req.size);
-      } else {
-        status = store_->Get(req.key, req.dst.mutable_data(), req.size);
-      }
+      status = store_->Get(req.key, req.dst.mutable_data(), req.size);
       if (status.ok() && req.finalize) {
         // Post-read validation (codec frame CRC + decode). A failure —
         // typically kDataLoss — fails this attempt and is retried like

@@ -155,27 +155,14 @@ class IoScheduler {
   IoScheduler(const IoScheduler&) = delete;
   IoScheduler& operator=(const IoScheduler&) = delete;
 
-  /// Asynchronous write: the data is copied; the ticket resolves when
-  /// the store confirms the write. `flow_tag` scopes fault injection and
-  /// accounting to a flow class (-1 = unscoped); `tenant_tag` selects
-  /// the fair-share lane within the priority class (0 = default tenant).
-  Ticket SubmitWrite(const std::string& key, const void* data, int64_t size,
-                     Priority priority, CompletionFn on_complete = nullptr,
-                     int flow_tag = -1, int tenant_tag = 0);
-
   /// Zero-copy asynchronous write: the scheduler takes a reference to
-  /// `payload` (published — no holder may mutate it) instead of copying
-  /// the bytes.
+  /// `payload` (published — no holder may mutate it); the ticket resolves
+  /// when the store confirms the write. `flow_tag` scopes fault injection
+  /// and accounting to a flow class (-1 = unscoped); `tenant_tag` selects
+  /// the fair-share lane within the priority class (0 = default tenant).
   Ticket SubmitWrite(const std::string& key, Buffer payload,
                      Priority priority, CompletionFn on_complete = nullptr,
                      int flow_tag = -1, int tenant_tag = 0);
-
-  /// Asynchronous read into `out` (must stay alive until the ticket
-  /// resolves; `out` is resized by the scheduler).
-  Ticket SubmitRead(const std::string& key, std::vector<uint8_t>* out,
-                    int64_t size, Priority priority,
-                    CompletionFn on_complete = nullptr, int flow_tag = -1,
-                    int tenant_tag = 0);
 
   /// Zero-copy asynchronous read: the worker fills `dst` (whose size is
   /// the read size) in place. The caller may keep references to `dst`
@@ -233,8 +220,7 @@ class IoScheduler {
     bool is_write;
     std::string key;
     Buffer payload;                 // writes (ref, not a copy)
-    std::vector<uint8_t>* out;      // legacy reads, not owned
-    Buffer dst;                     // zero-copy reads (when out == null)
+    Buffer dst;                     // reads, filled in place
     int64_t size;
     Priority priority;
     CompletionFn on_complete;

@@ -148,8 +148,7 @@ Result<std::unique_ptr<TransferEngine>> TransferEngine::Open(
         "ssd-write", options.write_bandwidth, engine->injector_);
   }
   if (options.host_cache_bytes > 0) {
-    engine->cache_ = std::make_unique<TierCache>(engine->store_.get(),
-                                                 options.host_cache_bytes);
+    engine->cache_ = std::make_unique<TierCache>(options.host_cache_bytes);
   }
   RATEL_ASSIGN_OR_RETURN(engine->codecs_,
                          CodecRegistry::Create(options.codec));
@@ -309,9 +308,9 @@ bool TransferEngine::PendingPayload(const std::string& key,
   return true;
 }
 
-TransferEngine::Ticket TransferEngine::ForwardRead(
-    FlowClass flow, const Buffer& pending, int64_t size,
-    const std::function<int64_t(const Buffer&)>& deliver) {
+TransferEngine::Ticket TransferEngine::ForwardRead(FlowClass flow,
+                                                   const Buffer& pending,
+                                                   int64_t size, Buffer* out) {
   const TenantId tenant = CurrentTenant();
   const Codec* codec = codecs_.ForFlow(flow);
   Status status;
@@ -331,19 +330,18 @@ TransferEngine::Ticket TransferEngine::ForwardRead(
   } else {
     logical = pending;  // raw flow: share the published payload
   }
-  const int64_t copied = status.ok() ? deliver(logical) : 0;
+  if (status.ok()) *out = std::move(logical);  // zero-copy delivery
   // Like a DRAM hit, a forwarded read adds no read_seconds: those time
   // store-leg requests, which the replanner turns into bandwidth.
   std::lock_guard<std::mutex> lock(mu_);
   AccountLocked(tenant, flow, [&](FlowCounters& c) {
     ++c.reads;
     if (cache_ != nullptr) ++c.cache_misses;
-    c.bytes_copied += copied;
     if (codec != nullptr) {
       ++c.decodes;
       c.decode_seconds += decode_seconds;
       if (!status.ok()) ++c.decode_failures;
-    } else if (copied == 0) {
+    } else {
       ++c.allocs_avoided;  // served by reference: no alloc, no memcpy
     }
     if (status.ok()) {
@@ -360,7 +358,7 @@ TransferEngine::Ticket TransferEngine::ForwardRead(
 
 TransferEngine::Ticket TransferEngine::SubmitCodecReadMiss(
     FlowClass flow, const std::string& key, const Codec& codec, int64_t size,
-    std::function<int64_t(const Buffer&)> deliver) {
+    Buffer* out) {
   const TenantId tenant = CurrentTenant();
   // The frame size is a pure function of the logical size (the codec
   // contract), so no metadata round trip is needed to size the fetch.
@@ -382,12 +380,11 @@ TransferEngine::Ticket TransferEngine::SubmitCodecReadMiss(
   const bool count_miss = cache_ != nullptr;
   IoScheduler::Ticket io_ticket = sched_->SubmitRead(
       key, frame, FlowPriority(flow),
-      [this, flow, tenant, key, dst, frame_bytes, size, start, count_miss,
-       decode_state, deliver = std::move(deliver)](const IoResult& result) {
+      [this, flow, tenant, key, dst, out, frame_bytes, size, start,
+       count_miss, decode_state](const IoResult& result) {
         bool promoted = false;
-        int64_t delivered_copy = 0;
         if (result.status.ok()) {
-          delivered_copy = deliver(dst);
+          *out = dst;  // zero-copy delivery
           if (cache_ != nullptr) {
             // Promote the *decoded* bytes by reference. A later DRAM
             // hit then returns exactly what this store round trip
@@ -404,7 +401,6 @@ TransferEngine::Ticket TransferEngine::SubmitCodecReadMiss(
             ++c.reads;
             if (count_miss) ++c.cache_misses;
             if (promoted) ++c.allocs_avoided;
-            c.bytes_copied += delivered_copy;
             c.read_seconds += elapsed;
             c.retries += result.attempts - 1;
             c.backoff_seconds += result.backoff_seconds;
@@ -440,88 +436,6 @@ TransferEngine::Ticket TransferEngine::SubmitCodecReadMiss(
 
 TransferEngine::Ticket TransferEngine::SubmitRead(FlowClass flow,
                                                   const std::string& key,
-                                                  std::vector<uint8_t>* out,
-                                                  int64_t size) {
-  RATEL_CHECK(out != nullptr);
-  const TenantId tenant = CurrentTenant();
-  if (cache_ != nullptr) {
-    out->resize(size);
-    if (cache_->TryGet(key, out->data(), size)) {
-      std::lock_guard<std::mutex> lock(mu_);
-      AccountLocked(tenant, flow, [&](FlowCounters& c) {
-        ++c.reads;
-        ++c.cache_hits;
-        c.bytes_read += size;
-        c.bytes_from_cache += size;
-        c.bytes_copied += size;  // TryGet memcpy'd into the caller vector
-      });
-      Ticket ticket = next_ticket_++;
-      resolved_.emplace(ticket, Status::Ok());
-      return ticket;
-    }
-  }
-  if (Buffer pending; PendingPayload(key, &pending)) {
-    return ForwardRead(flow, pending, size, [out, size](const Buffer& src) {
-      out->resize(size);
-      if (size > 0) std::memcpy(out->data(), src.data(), size);
-      return size;
-    });
-  }
-  if (const Codec* codec = codecs_.ForFlow(flow)) {
-    out->resize(size);
-    return SubmitCodecReadMiss(flow, key, *codec, size,
-                               [out, size](const Buffer& dst) {
-                                 if (size > 0) {
-                                   std::memcpy(out->data(), dst.data(), size);
-                                 }
-                                 return size;
-                               });
-  }
-  AcquireInflight(tenant, size);
-  const auto start = std::chrono::steady_clock::now();
-  const bool count_miss = cache_ != nullptr;
-  IoScheduler::Ticket io_ticket = sched_->SubmitRead(
-      key, out, size, FlowPriority(flow),
-      [this, flow, tenant, key, out, size, start,
-       count_miss](const IoResult& result) {
-        bool promoted = false;
-        if (result.status.ok() && cache_ != nullptr) {
-          // Promote the cold blob into the DRAM tier. The caller owns
-          // `out`, so the tier needs its own copy here — the buffer-
-          // native read path avoids it.
-          cache_->Admit(key, out->data(), size, tenant);
-          promoted = true;
-        }
-        const double elapsed = SecondsSince(start);
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          AccountLocked(tenant, flow, [&](FlowCounters& c) {
-            ++c.reads;
-            if (count_miss) ++c.cache_misses;
-            if (promoted) c.bytes_copied += size;
-            c.read_seconds += elapsed;
-            c.retries += result.attempts - 1;
-            c.backoff_seconds += result.backoff_seconds;
-            if (result.gave_up) ++c.giveups;
-            if (result.status.ok()) {
-              c.bytes_read += size;
-              c.encoded_bytes_read += size;  // raw path: encoded == logical
-            } else {
-              ++c.errors;
-            }
-          });
-        }
-        ReleaseInflight(tenant, size);
-      },
-      static_cast<int>(flow), tenant);
-  std::lock_guard<std::mutex> lock(mu_);
-  Ticket ticket = next_ticket_++;
-  inflight_.emplace(ticket, io_ticket);
-  return ticket;
-}
-
-TransferEngine::Ticket TransferEngine::SubmitRead(FlowClass flow,
-                                                  const std::string& key,
                                                   Buffer* out, int64_t size) {
   RATEL_CHECK(out != nullptr);
   const TenantId tenant = CurrentTenant();
@@ -543,17 +457,10 @@ TransferEngine::Ticket TransferEngine::SubmitRead(FlowClass flow,
     }
   }
   if (Buffer pending; PendingPayload(key, &pending)) {
-    return ForwardRead(flow, pending, size, [out](const Buffer& src) {
-      *out = src;  // zero-copy delivery
-      return int64_t{0};
-    });
+    return ForwardRead(flow, pending, size, out);
   }
   if (const Codec* codec = codecs_.ForFlow(flow)) {
-    return SubmitCodecReadMiss(flow, key, *codec, size,
-                               [out](const Buffer& dst) {
-                                 *out = dst;  // zero-copy delivery
-                                 return int64_t{0};
-                               });
+    return SubmitCodecReadMiss(flow, key, *codec, size, out);
   }
   AcquireInflight(tenant, size);
   Buffer dst = pool_.Lease(size);
@@ -679,8 +586,7 @@ Status TransferEngine::Write(FlowClass flow, const std::string& key,
 
 Status TransferEngine::Read(FlowClass flow, const std::string& key, void* out,
                             int64_t size) {
-  // Ride the buffer path: a DRAM hit costs one memcpy into `out`
-  // (the old vector detour cost two).
+  // Ride the buffer path; the only copy is the one into `out`.
   Buffer staged;
   Status status = Wait(SubmitRead(flow, key, &staged, size));
   if (status.ok() && size > 0) {

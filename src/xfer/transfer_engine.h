@@ -5,7 +5,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -63,9 +62,9 @@ struct FlowCounters {
   /// Total backoff sleep spent recovering this flow's requests.
   double backoff_seconds = 0.0;
   /// Payload bytes the engine memcpy'd in host memory on behalf of this
-  /// flow (legacy pointer/vector API and copying conveniences).
-  /// Buffer-native traffic keeps this at 0 — the zero-copy acceptance
-  /// criterion, measured rather than asserted.
+  /// flow: the staging copy of a pointer SubmitWrite/Write and the
+  /// copy-out of the synchronous Read. Buffer-native traffic keeps this
+  /// at 0.
   int64_t bytes_copied = 0;
   /// Staging allocations (and their copies) the shared-buffer design
   /// avoided versus the old copy-per-tier path: one per write leg that
@@ -194,7 +193,9 @@ struct TransferOptions {
 /// movement. Every operation is tagged with a FlowClass that decides its
 /// scheduling priority and its accounting bucket; reads are served from
 /// the DRAM tier when hot and promoted into it when cold; writes go
-/// write-through (DRAM copy immediately, store write asynchronously).
+/// write-through (DRAM ref immediately, store write asynchronously).
+/// Every read delivers a published Buffer ref; there is no copying
+/// read path below the synchronous Read convenience.
 ///
 /// Thread-safe. Ordering contract: operations on *different* keys are
 /// unordered. Per key, a read observes the latest write *submitted*
@@ -245,11 +246,6 @@ class TransferEngine {
   /// allocation, zero host copies — between the DRAM tier and the store
   /// path. `payload` is published: no holder may mutate it afterwards.
   Ticket SubmitWrite(FlowClass flow, const std::string& key, Buffer payload);
-
-  /// Asynchronous read into `out` (resized; must stay alive until the
-  /// ticket resolves). DRAM hits resolve immediately.
-  Ticket SubmitRead(FlowClass flow, const std::string& key,
-                    std::vector<uint8_t>* out, int64_t size);
 
   /// Zero-copy asynchronous read: a DRAM hit points `*out` at the
   /// cached buffer (a ref, no memcpy) and resolves immediately; a miss
@@ -391,8 +387,8 @@ class TransferEngine {
 
   /// Shared write leg: publishes `payload` to the DRAM tier (by ref)
   /// and the scheduler (by ref). `staging_copies` is the number of host
-  /// copies the caller already performed to stage the payload (1 for
-  /// the legacy pointer API, 0 for buffer-native). When the flow has a
+  /// copies the caller already performed to stage the payload (1 when
+  /// the pointer SubmitWrite staged it, 0 for a Buffer). When the flow has a
   /// codec, the logical bytes at `logical` are framed into a second
   /// pooled buffer and the *frame* goes to the store; `payload` may then
   /// be empty when !KeepsLogicalPayload. Waits out an unresolved write
@@ -407,21 +403,18 @@ class TransferEngine {
 
   /// Store-to-load forwarding: serves a read from `pending`, the store
   /// payload of an unresolved same-key write, exactly as a store read of
-  /// it would (size check, or CRC check + decode for a codec'd flow).
-  /// `deliver` hands the logical bytes to the caller and returns the
-  /// bytes it memcpy'd. The ticket resolves at once.
+  /// it would (size check, or CRC check + decode for a codec'd flow),
+  /// and on success points `*out` at the logical bytes (a ref to the
+  /// payload on a raw flow). The ticket resolves at once.
   Ticket ForwardRead(FlowClass flow, const Buffer& pending, int64_t size,
-                     const std::function<int64_t(const Buffer&)>& deliver);
+                     Buffer* out);
 
-  /// Codec-path read miss shared by both SubmitRead overloads: fetches
-  /// the frame, CRC-verifies + decodes it in the worker's finalize hook
-  /// (retrying corrupt frames per RetryPolicy), then delivers the
-  /// decoded buffer through `deliver` before accounting. `deliver` runs
-  /// on the worker only when the read succeeded; it returns the number
-  /// of bytes it memcpy'd (0 for zero-copy delivery).
+  /// Codec-path read miss: fetches the frame, CRC-verifies + decodes it
+  /// in the worker's finalize hook (retrying corrupt frames per
+  /// RetryPolicy), then on success points `*out` at the decoded buffer
+  /// and promotes it by reference before the ticket resolves.
   Ticket SubmitCodecReadMiss(FlowClass flow, const std::string& key,
-                             const Codec& codec, int64_t size,
-                             std::function<int64_t(const Buffer&)> deliver);
+                             const Codec& codec, int64_t size, Buffer* out);
 
   /// Re-rates both channels to base * live/total when the store's
   /// dead-stripe count changed since the last poll. Called from write

@@ -12,7 +12,6 @@
 //      reproducible at any compute or background thread count.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cstdint>
 #include <cstdlib>
@@ -26,25 +25,27 @@
 #include "runtime/compute_pool.h"
 #include "runtime/async_update_engine.h"
 #include "runtime/ratel_trainer.h"
+#include "tests/scoped_temp_dir.h"
 
 namespace ratel {
 namespace {
 
-std::string TempDir(const std::string& tag) {
-  return ::testing::TempDir() + "/ratel_async_" + tag + "_" +
-         std::to_string(::getpid());
-}
-
 Result<std::unique_ptr<TransferEngine>> OpenEngine(
-    const std::string& tag, int64_t cache_bytes = 0,
+    const std::string& dir, int64_t cache_bytes = 0,
     double write_bandwidth = 0.0) {
   TransferOptions opts;
-  opts.dir = TempDir(tag);
+  opts.dir = dir;
   opts.num_stripes = 2;
   opts.chunk_bytes = 4096;
   opts.host_cache_bytes = cache_bytes;
   opts.write_bandwidth = write_bandwidth;
   return TransferEngine::Open(opts);
+}
+
+std::vector<float> Floats(const Buffer& b) {
+  std::vector<float> out(b.size() / sizeof(float));
+  if (!out.empty()) std::memcpy(out.data(), b.data(), b.size());
+  return out;
 }
 
 bool BitwiseEqual(const std::vector<float>& a, const std::vector<float>& b) {
@@ -165,8 +166,9 @@ TEST(ChunkPartitionTest, PicksTheLargestGradientChunksAsHot) {
 
 // ---------- Sync mode: bitwise the classic optimizer ----------
 
-TEST(AsyncOptimTest, SyncModeMatchesInMemoryChunkedAdamBitwise) {
-  auto engine = OpenEngine("sync_ref");
+using AsyncOptimTest = TempDirTest;
+TEST_F(AsyncOptimTest, SyncModeMatchesInMemoryChunkedAdamBitwise) {
+  auto engine = OpenEngine(tmp.Sub("sync_ref"));
   ASSERT_TRUE(engine.ok());
   AdamConfig cfg;
   cfg.lr = 1e-2;
@@ -206,11 +208,11 @@ struct RunResult {
 
 // Runs `steps` updates of one tensor under the given options and
 // returns the final out-of-core state.
-RunResult RunUpdates(const std::string& tag, const AsyncUpdateOptions& options,
+RunResult RunUpdates(const std::string& dir, const AsyncUpdateOptions& options,
                      int64_t n, int steps, int compute_threads,
                      int64_t cache_bytes) {
   SetComputeThreads(compute_threads);
-  auto engine = OpenEngine(tag, cache_bytes);
+  auto engine = OpenEngine(dir, cache_bytes);
   EXPECT_TRUE(engine.ok());
   AdamConfig cfg;
   cfg.lr = 2e-3;
@@ -223,9 +225,11 @@ RunResult RunUpdates(const std::string& tag, const AsyncUpdateOptions& options,
       EXPECT_TRUE(ooc.StepTensor("w", RandomGrads16(n, 500 + step)).ok());
     }
     int64_t adam_step = 0;
-    EXPECT_TRUE(
-        ooc.ExportState("w", &adam_step, &result.p32, &result.m, &result.v)
-            .ok());
+    Buffer p32, m, v;
+    EXPECT_TRUE(ooc.ExportStateBuffers("w", &adam_step, &p32, &m, &v).ok());
+    result.p32 = Floats(p32);
+    result.m = Floats(m);
+    result.v = Floats(v);
     EXPECT_EQ(adam_step, steps);
     result.stats = ooc.stats();
   }
@@ -237,14 +241,15 @@ RunResult RunUpdates(const std::string& tag, const AsyncUpdateOptions& options,
 constexpr int64_t kN = 64 * 7 + 13;
 constexpr int kSteps = 5;
 
-TEST(AsyncOptimTest, AsyncFinalStateMatchesSyncBitwise) {
-  const RunResult sync = RunUpdates("m_sync", AsyncUpdateOptions{}, kN, kSteps,
-                                    /*compute_threads=*/1, /*cache_bytes=*/0);
+TEST_F(AsyncOptimTest, AsyncFinalStateMatchesSyncBitwise) {
+  const RunResult sync =
+      RunUpdates(tmp.Sub("m_sync"), AsyncUpdateOptions{}, kN, kSteps,
+                 /*compute_threads=*/1, /*cache_bytes=*/0);
   AsyncUpdateOptions async;
   async.async = true;
   async.hot_fraction = 0.25;
   async.chunk = 64;
-  const RunResult deferred = RunUpdates("m_async", async, kN, kSteps,
+  const RunResult deferred = RunUpdates(tmp.Sub("m_async"), async, kN, kSteps,
                                         /*compute_threads=*/1,
                                         /*cache_bytes=*/1 << 20);
   // The pipeline really deferred work...
@@ -257,31 +262,31 @@ TEST(AsyncOptimTest, AsyncFinalStateMatchesSyncBitwise) {
   EXPECT_TRUE(BitwiseEqual(sync.v, deferred.v));
 }
 
-TEST(AsyncOptimTest, AsyncWithoutDramTierIsStillExact) {
+TEST_F(AsyncOptimTest, AsyncWithoutDramTierIsStillExact) {
   // No cache: the drain barrier hardens to durable (store writes
   // resolved). Same bitwise contract.
-  const RunResult sync = RunUpdates("nc_sync", AsyncUpdateOptions{}, kN, kSteps,
-                                    1, /*cache_bytes=*/0);
+  const RunResult sync = RunUpdates(tmp.Sub("nc_sync"), AsyncUpdateOptions{},
+                                    kN, kSteps, 1, /*cache_bytes=*/0);
   AsyncUpdateOptions async;
   async.async = true;
   async.chunk = 64;
   const RunResult deferred =
-      RunUpdates("nc_async", async, kN, kSteps, 1, /*cache_bytes=*/0);
+      RunUpdates(tmp.Sub("nc_async"), async, kN, kSteps, 1, /*cache_bytes=*/0);
   EXPECT_GT(deferred.stats.deferred_epochs, 0);
   EXPECT_TRUE(BitwiseEqual(sync.p32, deferred.p32));
   EXPECT_TRUE(BitwiseEqual(sync.m, deferred.m));
   EXPECT_TRUE(BitwiseEqual(sync.v, deferred.v));
 }
 
-TEST(AsyncOptimTest, AsyncIsBitwiseReproducibleAcrossThreadCounts) {
+TEST_F(AsyncOptimTest, AsyncIsBitwiseReproducibleAcrossThreadCounts) {
   AsyncUpdateOptions async;
   async.async = true;
   async.hot_fraction = 0.3;
   async.chunk = 64;
-  const RunResult a = RunUpdates("rep_a", async, kN, kSteps,
+  const RunResult a = RunUpdates(tmp.Sub("rep_a"), async, kN, kSteps,
                                  /*compute_threads=*/1, /*cache_bytes=*/1 << 20);
   async.background_threads = 2;
-  const RunResult b = RunUpdates("rep_b", async, kN, kSteps,
+  const RunResult b = RunUpdates(tmp.Sub("rep_b"), async, kN, kSteps,
                                  /*compute_threads=*/4, /*cache_bytes=*/1 << 20);
   EXPECT_GT(a.stats.deferred_epochs, 0);
   EXPECT_TRUE(BitwiseEqual(a.p32, b.p32));
@@ -292,9 +297,10 @@ TEST(AsyncOptimTest, AsyncIsBitwiseReproducibleAcrossThreadCounts) {
   EXPECT_EQ(a.stats.tail_chunks, b.stats.tail_chunks);
 }
 
-TEST(AsyncOptimTest, StalenessBoundEveryFetchSeesTheFullyAppliedStep) {
-  auto sync_engine = OpenEngine("stale_sync");
-  auto async_engine = OpenEngine("stale_async", /*cache_bytes=*/1 << 20);
+TEST_F(AsyncOptimTest, StalenessBoundEveryFetchSeesTheFullyAppliedStep) {
+  auto sync_engine = OpenEngine(tmp.Sub("stale_sync"));
+  auto async_engine =
+      OpenEngine(tmp.Sub("stale_async"), /*cache_bytes=*/1 << 20);
   ASSERT_TRUE(sync_engine.ok());
   ASSERT_TRUE(async_engine.ok());
   AdamConfig cfg;
@@ -350,12 +356,12 @@ TEST(AsyncOptimTest, StalenessBoundEveryFetchSeesTheFullyAppliedStep) {
 // and the per-epoch durable fallback when a pin cannot be taken — must
 // keep every post-drain read exact anyway.
 
-TEST(AsyncOptimTest, ExactUnderDramEvictionPressure) {
+TEST_F(AsyncOptimTest, ExactUnderDramEvictionPressure) {
   // Three tensors churning a tier that holds roughly ONE tensor's
   // 12 B/param write set, writes throttled so the deferred epochs'
   // store writes stay in flight while the foreground fetches.
-  auto sync_engine = OpenEngine("evict_sync");
-  auto async_engine = OpenEngine("evict_async", /*cache_bytes=*/8192,
+  auto sync_engine = OpenEngine(tmp.Sub("evict_sync"));
+  auto async_engine = OpenEngine(tmp.Sub("evict_async"), /*cache_bytes=*/8192,
                                  /*write_bandwidth=*/2e6);
   ASSERT_TRUE(sync_engine.ok());
   ASSERT_TRUE(async_engine.ok());
@@ -392,27 +398,29 @@ TEST(AsyncOptimTest, ExactUnderDramEvictionPressure) {
   }
   for (const std::string& name : names) {
     int64_t step_sync = 0, step_async = 0;
-    std::vector<float> p_s, m_s, v_s, p_a, m_a, v_a;
-    ASSERT_TRUE(sync_adam.ExportState(name, &step_sync, &p_s, &m_s, &v_s).ok());
+    Buffer p_s, m_s, v_s, p_a, m_a, v_a;
     ASSERT_TRUE(
-        async_adam.ExportState(name, &step_async, &p_a, &m_a, &v_a).ok());
+        sync_adam.ExportStateBuffers(name, &step_sync, &p_s, &m_s, &v_s).ok());
+    ASSERT_TRUE(
+        async_adam.ExportStateBuffers(name, &step_async, &p_a, &m_a, &v_a)
+            .ok());
     EXPECT_EQ(step_sync, step_async);
-    EXPECT_TRUE(BitwiseEqual(p_s, p_a)) << name;
-    EXPECT_TRUE(BitwiseEqual(m_s, m_a)) << name;
-    EXPECT_TRUE(BitwiseEqual(v_s, v_a)) << name;
+    EXPECT_TRUE(BitwiseEqual(Floats(p_s), Floats(p_a))) << name;
+    EXPECT_TRUE(BitwiseEqual(Floats(m_s), Floats(m_a))) << name;
+    EXPECT_TRUE(BitwiseEqual(Floats(v_s), Floats(v_a))) << name;
   }
   EXPECT_GT(async_adam.stats().deferred_epochs, 0);
   EXPECT_EQ((*async_engine)->stats().Flow(FlowClass::kDeferredState).errors,
             0);
 }
 
-TEST(AsyncOptimTest, OversizedTensorsFallBackToDurableDrain) {
+TEST_F(AsyncOptimTest, OversizedTensorsFallBackToDurableDrain) {
   // The tier is smaller than a single P32 blob, so the written state is
   // never admitted and no pin can be taken: every epoch must harden its
   // drain barrier to "store writes resolved" — otherwise each fetch
   // would read step N-1 from behind the throttled write channel.
-  auto sync_engine = OpenEngine("small_sync");
-  auto async_engine = OpenEngine("small_async", /*cache_bytes=*/1024,
+  auto sync_engine = OpenEngine(tmp.Sub("small_sync"));
+  auto async_engine = OpenEngine(tmp.Sub("small_async"), /*cache_bytes=*/1024,
                                  /*write_bandwidth=*/2e6);
   ASSERT_TRUE(sync_engine.ok());
   ASSERT_TRUE(async_engine.ok());
@@ -443,8 +451,8 @@ TEST(AsyncOptimTest, OversizedTensorsFallBackToDurableDrain) {
   EXPECT_EQ(stats.durable_fallback_epochs, stats.deferred_epochs);
 }
 
-TEST(AsyncOptimTest, ErrorsSurfaceInAsyncModeToo) {
-  auto engine = OpenEngine("err");
+TEST_F(AsyncOptimTest, ErrorsSurfaceInAsyncModeToo) {
+  auto engine = OpenEngine(tmp.Sub("err"));
   ASSERT_TRUE(engine.ok());
   AsyncUpdateOptions opts;
   opts.async = true;
@@ -459,13 +467,13 @@ TEST(AsyncOptimTest, ErrorsSurfaceInAsyncModeToo) {
   EXPECT_TRUE(ooc.DrainAll().ok());
 }
 
-TEST(AsyncOptimTest, FailedRegisterRollsBackSoTheNameStaysUsable) {
+TEST_F(AsyncOptimTest, FailedRegisterRollsBackSoTheNameStaysUsable) {
   // Every write attempt fails, so Register's initial state writes give
   // up after the retry budget. The failed registration must not leave a
   // half-initialized entry behind: retrying must NOT report
   // kAlreadyExists, and the name must stay unknown to every other call.
   TransferOptions topts;
-  topts.dir = TempDir("reg_rollback");
+  topts.dir = tmp.Sub("reg_rollback");
   topts.num_stripes = 2;
   topts.chunk_bytes = 4096;
   topts.fault.write_error_every = 1;
@@ -508,12 +516,11 @@ std::vector<std::vector<float>> ExportAllState(RatelTrainer& trainer,
   std::vector<std::vector<float>> out;
   for (auto& [name, var] : model.parameters()) {
     int64_t step = 0;
-    std::vector<float> p32, m, v;
-    EXPECT_TRUE(trainer.optimizer().ExportState(name, &step, &p32, &m, &v).ok())
+    Buffer p32, m, v;
+    EXPECT_TRUE(
+        trainer.optimizer().ExportStateBuffers(name, &step, &p32, &m, &v).ok())
         << name;
-    out.push_back(std::move(p32));
-    out.push_back(std::move(m));
-    out.push_back(std::move(v));
+    for (const Buffer* b : {&p32, &m, &v}) out.push_back(Floats(*b));
   }
   return out;
 }
@@ -525,11 +532,11 @@ struct TrainerRun {
   TransferStats xfer;
 };
 
-TrainerRun TrainSmall(const std::string& tag, bool async, int steps) {
+TrainerRun TrainSmall(const std::string& dir, bool async, int steps) {
   ag::TinyGptConfig cfg = SmallConfig();
   ag::TinyGpt model(cfg, /*seed=*/44);
   TrainerOptions opts;
-  opts.store_dir = TempDir(tag);
+  opts.store_dir = dir;
   opts.host_cache_bytes = 1 << 20;
   opts.async_optimizer = async;
   opts.async_hot_fraction = 0.25;
@@ -551,9 +558,10 @@ TrainerRun TrainSmall(const std::string& tag, bool async, int steps) {
   return run;
 }
 
-TEST(AsyncOptimTrainerTest, AsyncTrainingIsBitwiseTheSyncTrajectory) {
-  const TrainerRun sync = TrainSmall("tr_sync", /*async=*/false, 4);
-  const TrainerRun async = TrainSmall("tr_async", /*async=*/true, 4);
+using AsyncOptimTrainerTest = TempDirTest;
+TEST_F(AsyncOptimTrainerTest, AsyncTrainingIsBitwiseTheSyncTrajectory) {
+  const TrainerRun sync = TrainSmall(tmp.Sub("tr_sync"), /*async=*/false, 4);
+  const TrainerRun async = TrainSmall(tmp.Sub("tr_async"), /*async=*/true, 4);
   ASSERT_EQ(sync.losses.size(), async.losses.size());
   for (size_t i = 0; i < sync.losses.size(); ++i) {
     EXPECT_EQ(sync.losses[i], async.losses[i]) << "step " << i;
@@ -577,13 +585,14 @@ TEST(AsyncOptimTrainerTest, AsyncTrainingIsBitwiseTheSyncTrajectory) {
   EXPECT_EQ(sync.last.optimizer_overlap_s, 0.0);
 }
 
-TEST(AsyncOptimTrainerTest, CrashDuringPendingTailEpochRecoversViaCheckpoint) {
+TEST_F(AsyncOptimTrainerTest,
+       CrashDuringPendingTailEpochRecoversViaCheckpoint) {
   constexpr int kTotalSteps = 5;
   constexpr int kCrashAfter = 3;
   const ag::TinyGptConfig cfg = SmallConfig();
   auto async_opts = [&](const std::string& tag) {
     TrainerOptions opts;
-    opts.store_dir = TempDir(tag);
+    opts.store_dir = tmp.Sub(tag);
     opts.host_cache_bytes = 1 << 20;
     opts.async_optimizer = true;
     opts.async_hot_fraction = 0.25;
@@ -613,7 +622,7 @@ TEST(AsyncOptimTrainerTest, CrashDuringPendingTailEpochRecoversViaCheckpoint) {
   // pending epoch first — the barrier under test), then train one more
   // step and die while its tail epochs may still be in flight. The
   // abandoned store is lost; only the v2 checkpoint survives.
-  const std::string ckpt_dir = TempDir("cr_ckpts");
+  const std::string ckpt_dir = tmp.Sub("cr_ckpts");
   {
     ag::TinyGpt model(cfg, /*seed=*/44);
     auto trainer = RatelTrainer::Create(&model, async_opts("cr_crash"));

@@ -1,7 +1,6 @@
 #include "common/buffer.h"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <cstring>
@@ -10,15 +9,9 @@
 #include <vector>
 
 #include "mem/tier_cache.h"
-#include "storage/block_store.h"
 
 namespace ratel {
 namespace {
-
-std::string TempDir(const std::string& tag) {
-  return ::testing::TempDir() + "/ratel_buffer_" + tag + "_" +
-         std::to_string(::getpid());
-}
 
 std::vector<uint8_t> Pattern(int64_t size, uint8_t seed) {
   std::vector<uint8_t> bytes(size);
@@ -56,15 +49,6 @@ TEST(BufferTest, MoveTransfersOwnership) {
   EXPECT_EQ(b.data(), ptr);
   EXPECT_EQ(b.use_count(), 1);
   EXPECT_TRUE(a.empty());  // NOLINT(bugprone-use-after-move): zeroed source
-}
-
-TEST(BufferTest, FromVectorAdoptsWithoutCopy) {
-  std::vector<uint8_t> bytes = Pattern(1000, 7);
-  const uint8_t* ptr = bytes.data();
-  Buffer b = Buffer::FromVector(std::move(bytes));
-  EXPECT_EQ(b.data(), ptr);  // adopted storage, no copy
-  EXPECT_EQ(b.size(), 1000);
-  EXPECT_EQ(b.data()[999], static_cast<uint8_t>(7 + 999));
 }
 
 // ---------- BufferPool ----------
@@ -198,11 +182,9 @@ TEST(BufferPoolTest, ConcurrentLeaseAndReleaseStress) {
 // ---------- TierCache with Buffer entries ----------
 
 TEST(TierCacheBufferTest, TryGetRefServesByReferenceWithoutCopy) {
-  auto store = BlockStore::Open(TempDir("refhit"), 2, 1 << 16);
-  ASSERT_TRUE(store.ok());
-  TierCache cache(store->get(), 1 << 20);
+  TierCache cache(1 << 20);
   std::vector<uint8_t> blob = Pattern(512, 3);
-  ASSERT_TRUE(cache.Put("k", blob.data(), blob.size()).ok());
+  cache.AdmitBuffer("k", Buffer::CopyOf(blob.data(), 512));
 
   Buffer ref1, ref2;
   ASSERT_TRUE(cache.TryGetRef("k", 512, &ref1));
@@ -217,21 +199,19 @@ TEST(TierCacheBufferTest, TryGetRefServesByReferenceWithoutCopy) {
 }
 
 TEST(TierCacheBufferTest, OutstandingRefSurvivesEvictionUnaliased) {
-  auto store = BlockStore::Open(TempDir("evict"), 2, 1 << 16);
-  ASSERT_TRUE(store.ok());
   // Capacity fits exactly one 512-byte entry: every insert evicts.
-  TierCache cache(store->get(), 512);
+  TierCache cache(512);
   std::vector<uint8_t> old_bytes = Pattern(512, 11);
-  ASSERT_TRUE(cache.Put("k", old_bytes.data(), 512).ok());
+  cache.AdmitBuffer("k", Buffer::CopyOf(old_bytes.data(), 512));
 
   Buffer held;
   ASSERT_TRUE(cache.TryGetRef("k", 512, &held));
 
   // Evict "k" by caching another key, then rewrite "k" with new bytes.
   std::vector<uint8_t> filler = Pattern(512, 200);
-  ASSERT_TRUE(cache.Put("other", filler.data(), 512).ok());
+  cache.AdmitBuffer("other", Buffer::CopyOf(filler.data(), 512));
   std::vector<uint8_t> new_bytes = Pattern(512, 77);
-  ASSERT_TRUE(cache.Put("k", new_bytes.data(), 512).ok());
+  cache.AdmitBuffer("k", Buffer::CopyOf(new_bytes.data(), 512));
 
   // The reader's ref still sees the *old* bytes — eviction and rewrite
   // released the cache's reference, not the reader's.
@@ -244,9 +224,7 @@ TEST(TierCacheBufferTest, OutstandingRefSurvivesEvictionUnaliased) {
 }
 
 TEST(TierCacheBufferTest, AdmitBufferTakesReferenceNotCopy) {
-  auto store = BlockStore::Open(TempDir("admit"), 2, 1 << 16);
-  ASSERT_TRUE(store.ok());
-  TierCache cache(store->get(), 1 << 20);
+  TierCache cache(1 << 20);
   Buffer published = Buffer::CopyOf(Pattern(256, 9).data(), 256);
   cache.AdmitBuffer("k", published);
   Buffer ref;

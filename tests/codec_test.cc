@@ -10,7 +10,6 @@
 #include "xfer/codec.h"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cmath>
 #include <cstdlib>
@@ -30,14 +29,10 @@
 #include "runtime/ratel_trainer.h"
 #include "simd/simd.h"
 #include "xfer/transfer_engine.h"
+#include "tests/scoped_temp_dir.h"
 
 namespace ratel {
 namespace {
-
-std::string TempDir(const std::string& tag) {
-  return ::testing::TempDir() + "/ratel_codec_" + tag + "_" +
-         std::to_string(::getpid());
-}
 
 std::vector<uint8_t> RandomBytes(int64_t n, uint64_t seed) {
   Rng rng(seed);
@@ -492,16 +487,17 @@ TransferOptions EngineOptions(const std::string& dir) {
   return opts;
 }
 
-TEST(CodecEngineTest, OpenRejectsBadCodecSpec) {
-  TransferOptions opts = EngineOptions(TempDir("badspec"));
+using CodecEngineTest = TempDirTest;
+TEST_F(CodecEngineTest, OpenRejectsBadCodecSpec) {
+  TransferOptions opts = EngineOptions(tmp.Sub("badspec"));
   opts.codec.spec(FlowClass::kActivationSpill) = "lz4";
   auto engine = TransferEngine::Open(opts);
   EXPECT_FALSE(engine.ok());
   EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(CodecEngineTest, IdentityCodecRoundTripsWithFrameAccounting) {
-  TransferOptions opts = EngineOptions(TempDir("id_acct"));
+TEST_F(CodecEngineTest, IdentityCodecRoundTripsWithFrameAccounting) {
+  TransferOptions opts = EngineOptions(tmp.Sub("id_acct"));
   opts.codec.spec(FlowClass::kCheckpoint) = "identity";
   auto engine = TransferEngine::Open(opts);
   ASSERT_TRUE(engine.ok());
@@ -544,8 +540,8 @@ TEST(CodecEngineTest, IdentityCodecRoundTripsWithFrameAccounting) {
   EXPECT_EQ(stats.store_bytes_read, kBlobs * frame_bytes);
 }
 
-TEST(CodecEngineTest, Fp16FlowHalvesStoreBytes) {
-  TransferOptions opts = EngineOptions(TempDir("fp16_bytes"));
+TEST_F(CodecEngineTest, Fp16FlowHalvesStoreBytes) {
+  TransferOptions opts = EngineOptions(tmp.Sub("fp16_bytes"));
   opts.codec.spec(FlowClass::kActivationSpill) = "fp16";
   auto engine = TransferEngine::Open(opts);
   ASSERT_TRUE(engine.ok());
@@ -575,13 +571,13 @@ TEST(CodecEngineTest, Fp16FlowHalvesStoreBytes) {
   EXPECT_GT(c.decode_seconds, 0.0);
 }
 
-TEST(CodecEngineTest, LossyCodecSkipsWriteSideCacheAdmit) {
+TEST_F(CodecEngineTest, LossyCodecSkipsWriteSideCacheAdmit) {
   // The lossy cache rule: a reader must observe decode(encode(x)) no
   // matter whether the blob was still DRAM-resident — so the write-side
   // admit is skipped for lossy codecs and the first read is a store
   // miss. The decoded bytes may then be promoted (re-reading them is
   // consistent), making the *second* read a hit with identical bytes.
-  TransferOptions opts = EngineOptions(TempDir("lossy_cache"));
+  TransferOptions opts = EngineOptions(tmp.Sub("lossy_cache"));
   opts.host_cache_bytes = 1 << 20;
   opts.codec.spec(FlowClass::kActivationSpill) = "fp16";
   auto engine = TransferEngine::Open(opts);
@@ -616,7 +612,7 @@ TEST(CodecEngineTest, LossyCodecSkipsWriteSideCacheAdmit) {
 
   // Contrast: a *lossless* framed flow still admits at write time.
   const std::vector<uint8_t> blob = RandomBytes(kBytes, 92);
-  TransferOptions opts2 = EngineOptions(TempDir("lossless_cache"));
+  TransferOptions opts2 = EngineOptions(tmp.Sub("lossless_cache"));
   opts2.host_cache_bytes = 1 << 20;
   opts2.codec.spec(FlowClass::kCheckpoint) = "identity";
   auto engine2 = TransferEngine::Open(opts2);
@@ -633,14 +629,14 @@ TEST(CodecEngineTest, LossyCodecSkipsWriteSideCacheAdmit) {
   EXPECT_EQ(stats2.Flow(FlowClass::kCheckpoint).cache_hits, 1);
 }
 
-TEST(CodecEngineTest, LossyOverwriteInvalidatesThePromotedCacheEntry) {
+TEST_F(CodecEngineTest, LossyOverwriteInvalidatesThePromotedCacheEntry) {
   // The other half of the lossy cache rule: reading a lossy key
   // promotes its *decoded* bytes into the DRAM tier, so overwriting
   // that key must invalidate the promoted entry — otherwise every
   // later read would serve the previous value from DRAM. This is
   // exactly the trainer's spill pattern: the same "act/i" keys are
   // rewritten every step and read back within the step.
-  TransferOptions opts = EngineOptions(TempDir("lossy_overwrite"));
+  TransferOptions opts = EngineOptions(tmp.Sub("lossy_overwrite"));
   opts.host_cache_bytes = 1 << 20;
   opts.codec.spec(FlowClass::kActivationSpill) = "fp16";
   auto engine = TransferEngine::Open(opts);
@@ -678,12 +674,12 @@ TEST(CodecEngineTest, LossyOverwriteInvalidatesThePromotedCacheEntry) {
   EXPECT_EQ(c.decodes, 3);
 }
 
-TEST(CodecEngineTest, PooledFrameBuffersReachZeroSteadyStateAllocs) {
+TEST_F(CodecEngineTest, PooledFrameBuffersReachZeroSteadyStateAllocs) {
   // The zero-copy acceptance criterion extended to codec frames: after
   // a warmup round populates the pool's size classes, further codec
   // writes and reads lease every frame and every decode destination
   // from the free lists — the allocation counter must not move.
-  TransferOptions opts = EngineOptions(TempDir("pool"));
+  TransferOptions opts = EngineOptions(tmp.Sub("pool"));
   opts.codec.spec(FlowClass::kActivationSpill) = "fp16";
   auto engine = TransferEngine::Open(opts);
   ASSERT_TRUE(engine.ok());
@@ -713,8 +709,8 @@ TEST(CodecEngineTest, PooledFrameBuffersReachZeroSteadyStateAllocs) {
   EXPECT_GT(steady.reuses, warm.reuses);
 }
 
-TEST(CodecEngineTest, BufferReadOverloadDecodesThroughTheCodecPath) {
-  TransferOptions opts = EngineOptions(TempDir("bufread"));
+TEST_F(CodecEngineTest, BufferReadOverloadDecodesThroughTheCodecPath) {
+  TransferOptions opts = EngineOptions(tmp.Sub("bufread"));
   opts.codec.spec(FlowClass::kGradState) = "identity";
   auto engine = TransferEngine::Open(opts);
   ASSERT_TRUE(engine.ok());
@@ -791,7 +787,8 @@ TEST(CodecPlannerTest, PlannerSwapsAtLeastAsMuchUnderCompression) {
 
 // ---------- Trainer lossy-flow rule ----------
 
-TEST(CodecTrainerTest, LossyCodecRejectedOffTheActivationFlow) {
+using CodecTrainerTest = TempDirTest;
+TEST_F(CodecTrainerTest, LossyCodecRejectedOffTheActivationFlow) {
   ag::TinyGptConfig cfg;
   cfg.vocab_size = 32;
   cfg.seq_len = 8;
@@ -800,7 +797,7 @@ TEST(CodecTrainerTest, LossyCodecRejectedOffTheActivationFlow) {
   cfg.num_layers = 2;
   ag::TinyGpt model(cfg, 71);
   TrainerOptions opts;
-  opts.store_dir = TempDir("lossy_rule");
+  opts.store_dir = tmp.Sub("lossy_rule");
   opts.codec.spec(FlowClass::kGradState) = "fp16";
   auto trainer = RatelTrainer::Create(&model, opts);
   ASSERT_FALSE(trainer.ok());
@@ -809,7 +806,7 @@ TEST(CodecTrainerTest, LossyCodecRejectedOffTheActivationFlow) {
             std::string::npos);
 }
 
-TEST(CodecTrainerTest, LossyCodecAcceptedOnActivationSpillAndTrains) {
+TEST_F(CodecTrainerTest, LossyCodecAcceptedOnActivationSpillAndTrains) {
   ag::TinyGptConfig cfg;
   cfg.vocab_size = 32;
   cfg.seq_len = 8;
@@ -818,7 +815,7 @@ TEST(CodecTrainerTest, LossyCodecAcceptedOnActivationSpillAndTrains) {
   cfg.num_layers = 2;
   ag::TinyGpt model(cfg, 72);
   TrainerOptions opts;
-  opts.store_dir = TempDir("lossy_ok");
+  opts.store_dir = tmp.Sub("lossy_ok");
   opts.spill_activations = true;
   opts.codec.spec(FlowClass::kActivationSpill) = "fp16";
   auto trainer = RatelTrainer::Create(&model, opts);

@@ -28,13 +28,15 @@
 #include "runtime/checkpoint.h"
 #include "runtime/ratel_trainer.h"
 #include "simd/simd.h"
+#include "tests/scoped_temp_dir.h"
 
 namespace ratel {
 namespace {
 
-std::string TempDir(const std::string& tag) {
-  return ::testing::TempDir() + "/ratel_crash_" + tag + "_" +
-         std::to_string(::getpid());
+std::vector<float> Floats(const Buffer& b) {
+  std::vector<float> out(b.size() / sizeof(float));
+  if (!out.empty()) std::memcpy(out.data(), b.data(), b.size());
+  return out;
 }
 
 bool BitwiseEqual(const std::vector<float>& a, const std::vector<float>& b) {
@@ -105,8 +107,9 @@ void FlipByte(const std::string& path, int64_t offset, int mask = 0x40) {
 
 // ---------- Checkpoint v2 format ----------
 
-TEST(CheckpointV2Test, SaveStateLoadStateRoundTripsBitwise) {
-  const std::string dir = TempDir("rt");
+using CheckpointV2Test = TempDirTest;
+TEST_F(CheckpointV2Test, SaveStateLoadStateRoundTripsBitwise) {
+  const std::string dir = tmp.Sub("rt");
   ASSERT_TRUE(::mkdir(dir.c_str(), 0755) == 0 || errno == EEXIST);
   const std::string path = dir + "/state.ckpt";
   const checkpoint::TrainState state = MakeState(42);
@@ -127,8 +130,8 @@ TEST(CheckpointV2Test, SaveStateLoadStateRoundTripsBitwise) {
   }
 }
 
-TEST(CheckpointV2Test, TruncatedFileIsDetectedAsDataLoss) {
-  const std::string dir = TempDir("torn");
+TEST_F(CheckpointV2Test, TruncatedFileIsDetectedAsDataLoss) {
+  const std::string dir = tmp.Sub("torn");
   ASSERT_TRUE(::mkdir(dir.c_str(), 0755) == 0 || errno == EEXIST);
   const std::string path = dir + "/state.ckpt";
   ASSERT_TRUE(checkpoint::SaveState(MakeState(7), path).ok());
@@ -138,8 +141,8 @@ TEST(CheckpointV2Test, TruncatedFileIsDetectedAsDataLoss) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
 }
 
-TEST(CheckpointV2Test, CorruptedPayloadByteFailsTheShardChecksum) {
-  const std::string dir = TempDir("rot");
+TEST_F(CheckpointV2Test, CorruptedPayloadByteFailsTheShardChecksum) {
+  const std::string dir = tmp.Sub("rot");
   ASSERT_TRUE(::mkdir(dir.c_str(), 0755) == 0 || errno == EEXIST);
   const std::string path = dir + "/state.ckpt";
   ASSERT_TRUE(checkpoint::SaveState(MakeState(7), path).ok());
@@ -151,8 +154,8 @@ TEST(CheckpointV2Test, CorruptedPayloadByteFailsTheShardChecksum) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
 }
 
-TEST(CheckpointV2Test, BadMagicIsDataLossNotAParseAccident) {
-  const std::string dir = TempDir("magic");
+TEST_F(CheckpointV2Test, BadMagicIsDataLossNotAParseAccident) {
+  const std::string dir = tmp.Sub("magic");
   ASSERT_TRUE(::mkdir(dir.c_str(), 0755) == 0 || errno == EEXIST);
   const std::string path = dir + "/state.ckpt";
   ASSERT_TRUE(checkpoint::SaveState(MakeState(1), path).ok());
@@ -161,8 +164,8 @@ TEST(CheckpointV2Test, BadMagicIsDataLossNotAParseAccident) {
             StatusCode::kDataLoss);
 }
 
-TEST(CheckpointV2Test, LoadLatestFallsBackPastATornNewestEpoch) {
-  const std::string dir = TempDir("fallback");
+TEST_F(CheckpointV2Test, LoadLatestFallsBackPastATornNewestEpoch) {
+  const std::string dir = tmp.Sub("fallback");
   ASSERT_TRUE(checkpoint::SaveVersioned(dir, MakeState(3)).ok());
   ASSERT_TRUE(checkpoint::SaveVersioned(dir, MakeState(5)).ok());
   ASSERT_TRUE(checkpoint::SaveVersioned(dir, MakeState(9)).ok());
@@ -184,8 +187,8 @@ TEST(CheckpointV2Test, LoadLatestFallsBackPastATornNewestEpoch) {
 // A flipped high bit in a shard's element count must fail the shard as
 // kDataLoss before anything is sized from it (here n grows by 2^33, about
 // 100 GB of p32, m and v), so LoadLatest falls back to the older epoch.
-TEST(CheckpointV2Test, CorruptElementCountFallsBackToPreviousEpoch) {
-  const std::string dir = TempDir("bign");
+TEST_F(CheckpointV2Test, CorruptElementCountFallsBackToPreviousEpoch) {
+  const std::string dir = tmp.Sub("bign");
   ASSERT_TRUE(checkpoint::SaveVersioned(dir, MakeState(0)).ok());
   ASSERT_TRUE(checkpoint::SaveVersioned(dir, MakeState(1)).ok());
   // Magic 8, version 4, step 8, count 4, header CRC 4, then the first
@@ -204,8 +207,8 @@ TEST(CheckpointV2Test, CorruptElementCountFallsBackToPreviousEpoch) {
   EXPECT_EQ(latest->step, 0);
 }
 
-TEST(CheckpointV2Test, LoadLatestOnEmptyOrMissingDirIsNotFound) {
-  const std::string dir = TempDir("empty");
+TEST_F(CheckpointV2Test, LoadLatestOnEmptyOrMissingDirIsNotFound) {
+  const std::string dir = tmp.Sub("empty");
   EXPECT_EQ(checkpoint::LoadLatest(dir).status().code(),
             StatusCode::kNotFound);
   // A stale dir left by a pid-recycled earlier run is fine: the test
@@ -243,12 +246,11 @@ std::vector<std::vector<float>> ExportAllP32(RatelTrainer& trainer,
   std::vector<std::vector<float>> out;
   for (auto& [name, var] : model.parameters()) {
     int64_t step = 0;
-    std::vector<float> p32, m, v;
-    EXPECT_TRUE(trainer.optimizer().ExportState(name, &step, &p32, &m, &v).ok())
+    Buffer p32, m, v;
+    EXPECT_TRUE(
+        trainer.optimizer().ExportStateBuffers(name, &step, &p32, &m, &v).ok())
         << name;
-    out.push_back(std::move(p32));
-    out.push_back(std::move(m));
-    out.push_back(std::move(v));
+    for (const Buffer* b : {&p32, &m, &v}) out.push_back(Floats(*b));
   }
   return out;
 }
@@ -291,7 +293,8 @@ void ExpectSameTrajectory(const std::vector<float>& resumed_losses,
   }
 }
 
-TEST(CrashRecoveryTest, ResumeAfterTornCheckpointIsBitwiseIdentical) {
+using CrashRecoveryTest = TempDirTest;
+TEST_F(CrashRecoveryTest, ResumeAfterTornCheckpointIsBitwiseIdentical) {
   const ag::TinyGptConfig cfg = SmallConfig();
 
   // Reference: the run that never crashes.
@@ -300,7 +303,7 @@ TEST(CrashRecoveryTest, ResumeAfterTornCheckpointIsBitwiseIdentical) {
   {
     ag::TinyGpt model(cfg, /*seed=*/44);
     TrainerOptions opts;
-    opts.store_dir = TempDir("ref_store");
+    opts.store_dir = tmp.Sub("ref_store");
     auto trainer = RatelTrainer::Create(&model, opts);
     ASSERT_TRUE(trainer.ok()) << trainer.status().ToString();
     TrainBatches(**trainer, cfg, 0, kTotalSteps, &ref_losses);
@@ -310,11 +313,11 @@ TEST(CrashRecoveryTest, ResumeAfterTornCheckpointIsBitwiseIdentical) {
 
   // Crashing run: checkpoint after step 3, train one more step whose
   // checkpoint is torn by the "power cut", then die.
-  const std::string ckpt_dir = TempDir("ckpts");
+  const std::string ckpt_dir = tmp.Sub("ckpts");
   {
     ag::TinyGpt model(cfg, /*seed=*/44);
     TrainerOptions opts;
-    opts.store_dir = TempDir("crash_store");
+    opts.store_dir = tmp.Sub("crash_store");
     auto trainer = RatelTrainer::Create(&model, opts);
     ASSERT_TRUE(trainer.ok());
     std::vector<float> losses;
@@ -339,7 +342,7 @@ TEST(CrashRecoveryTest, ResumeAfterTornCheckpointIsBitwiseIdentical) {
   {
     ag::TinyGpt model(cfg, /*seed=*/44);
     TrainerOptions opts;
-    opts.store_dir = TempDir("resume_store");
+    opts.store_dir = tmp.Sub("resume_store");
     auto trainer = RatelTrainer::Create(&model, opts);
     ASSERT_TRUE(trainer.ok());
     auto resumed_at = (*trainer)->RestoreLatestCheckpoint(ckpt_dir);
@@ -360,11 +363,11 @@ TEST(CrashRecoveryTest, ResumeAfterTornCheckpointIsBitwiseIdentical) {
 // checkpoint saved between two spilled steps must capture exactly the
 // uninterrupted state, and a fresh trainer resumed from it must train on
 // bitwise like the run that never stopped.
-TEST(CrashRecoveryTest, CheckpointBetweenSpilledStepsResumesBitwise) {
+TEST_F(CrashRecoveryTest, CheckpointBetweenSpilledStepsResumesBitwise) {
   const ag::TinyGptConfig cfg = SmallConfig();
-  auto spill_options = [](const std::string& tag) {
+  auto spill_options = [this](const std::string& tag) {
     TrainerOptions opts;
-    opts.store_dir = TempDir(tag);
+    opts.store_dir = tmp.Sub(tag);
     opts.spill_activations = true;
     opts.codec.spec(FlowClass::kActivationSpill) = "fp16";
     opts.async_optimizer = true;
@@ -384,7 +387,7 @@ TEST(CrashRecoveryTest, CheckpointBetweenSpilledStepsResumesBitwise) {
     ref_state = ExportAllP32(**trainer, model);
   }
 
-  const std::string ckpt_dir = TempDir("spill_ckpts");
+  const std::string ckpt_dir = tmp.Sub("spill_ckpts");
   {
     ag::TinyGpt model(cfg, /*seed=*/44);
     auto trainer = RatelTrainer::Create(&model, spill_options("spill_save"));
@@ -430,11 +433,11 @@ class ScopedSimdMode {
 // Resumed ≡ uninterrupted across SIMD modes: a checkpoint saved under
 // avx2 restores under scalar and trains on bitwise like the
 // uninterrupted avx2 run (ctest labels: fault, determinism, simd).
-TEST(CrashRecoveryTest, SaveUnderAvx2ResumeUnderScalarIsBitwise) {
+TEST_F(CrashRecoveryTest, SaveUnderAvx2ResumeUnderScalarIsBitwise) {
   if (!simd::HostHasAvx2()) GTEST_SKIP() << "host lacks AVX2";
   const ScopedSimdMode restore_mode;
   const ag::TinyGptConfig cfg = SmallConfig();
-  const std::string ckpt_dir = TempDir("xmode_ckpts");
+  const std::string ckpt_dir = tmp.Sub("xmode_ckpts");
   ASSERT_TRUE(simd::SetMode(simd::Mode::kAvx2));
 
   // Reference: the uninterrupted avx2 run.
@@ -443,7 +446,7 @@ TEST(CrashRecoveryTest, SaveUnderAvx2ResumeUnderScalarIsBitwise) {
   {
     ag::TinyGpt model(cfg, /*seed=*/44);
     TrainerOptions opts;
-    opts.store_dir = TempDir("xmode_ref_store");
+    opts.store_dir = tmp.Sub("xmode_ref_store");
     auto trainer = RatelTrainer::Create(&model, opts);
     ASSERT_TRUE(trainer.ok()) << trainer.status().ToString();
     TrainBatches(**trainer, cfg, 0, kTotalSteps, &ref_losses);
@@ -454,7 +457,7 @@ TEST(CrashRecoveryTest, SaveUnderAvx2ResumeUnderScalarIsBitwise) {
   {
     ag::TinyGpt model(cfg, /*seed=*/44);
     TrainerOptions opts;
-    opts.store_dir = TempDir("xmode_save_store");
+    opts.store_dir = tmp.Sub("xmode_save_store");
     auto trainer = RatelTrainer::Create(&model, opts);
     ASSERT_TRUE(trainer.ok());
     std::vector<float> losses;
@@ -469,7 +472,7 @@ TEST(CrashRecoveryTest, SaveUnderAvx2ResumeUnderScalarIsBitwise) {
   {
     ag::TinyGpt model(cfg, /*seed=*/44);
     TrainerOptions opts;
-    opts.store_dir = TempDir("xmode_resume_store");
+    opts.store_dir = tmp.Sub("xmode_resume_store");
     auto trainer = RatelTrainer::Create(&model, opts);
     ASSERT_TRUE(trainer.ok());
     auto resumed_at = (*trainer)->RestoreLatestCheckpoint(ckpt_dir);
@@ -482,14 +485,14 @@ TEST(CrashRecoveryTest, SaveUnderAvx2ResumeUnderScalarIsBitwise) {
   ExpectSameTrajectory(resumed_losses, resumed_state, ref_losses, ref_state);
 }
 
-TEST(CrashRecoveryTest, RestoreWithoutAnyValidCheckpointIsNotFound) {
+TEST_F(CrashRecoveryTest, RestoreWithoutAnyValidCheckpointIsNotFound) {
   ag::TinyGpt model(SmallConfig(), /*seed=*/3);
   TrainerOptions opts;
-  opts.store_dir = TempDir("nf_store");
+  opts.store_dir = tmp.Sub("nf_store");
   auto trainer = RatelTrainer::Create(&model, opts);
   ASSERT_TRUE(trainer.ok());
   const auto resumed =
-      (*trainer)->RestoreLatestCheckpoint(TempDir("nf_ckpts"));
+      (*trainer)->RestoreLatestCheckpoint(tmp.Sub("nf_ckpts"));
   ASSERT_FALSE(resumed.ok());
   EXPECT_EQ(resumed.status().code(), StatusCode::kNotFound);
   EXPECT_EQ((*trainer)->global_step(), 0);

@@ -8,7 +8,6 @@
 // chunk grid, and whole TinyGpt training steps.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cstring>
 #include <string>
@@ -21,6 +20,7 @@
 #include "runtime/compute_pool.h"
 #include "runtime/dataset.h"
 #include "runtime/ratel_trainer.h"
+#include "tests/scoped_temp_dir.h"
 
 namespace ratel {
 namespace {
@@ -222,10 +222,9 @@ TrainRun TrainTrainerTinyGpt(int threads, int steps,
   cfg.num_layers = 2;
   ag::TinyGpt model(cfg, /*seed=*/77);
 
+  const ScopedTempDir tmp("det_codec_" + tag);
   TrainerOptions opts;
-  opts.store_dir = ::testing::TempDir() + "/ratel_det_codec_" + tag + "_" +
-                   std::to_string(threads) + "_" +
-                   std::to_string(::getpid());
+  opts.store_dir = tmp.path();
   opts.spill_activations = true;
   opts.codec.spec(FlowClass::kActivationSpill) = activation_codec;
   auto trainer = RatelTrainer::Create(&model, opts);

@@ -1,5 +1,4 @@
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cmath>
 #include <string>
@@ -18,14 +17,10 @@
 #include "runtime/dataset.h"
 #include "runtime/ratel_trainer.h"
 #include "sim/engine.h"
+#include "tests/scoped_temp_dir.h"
 
 namespace ratel {
 namespace {
-
-std::string TempPath(const std::string& tag) {
-  return ::testing::TempDir() + "/ratel_ext2_" + tag + "_" +
-         std::to_string(::getpid());
-}
 
 // ---------- New autograd ops ----------
 
@@ -235,7 +230,8 @@ TEST(RunEstimatorTest, LongRunConsumesMeaningfulEndurance) {
 
 // ---------- Host tier cache in the trainer ----------
 
-TEST(TrainerCacheTest, CacheServesHotModelStates) {
+using TrainerCacheTest = TempDirTest;
+TEST_F(TrainerCacheTest, CacheServesHotModelStates) {
   ag::TinyGptConfig cfg;
   cfg.vocab_size = 32;
   cfg.seq_len = 8;
@@ -244,7 +240,7 @@ TEST(TrainerCacheTest, CacheServesHotModelStates) {
   cfg.num_layers = 2;
   ag::TinyGpt model(cfg, 3);
   TrainerOptions opts;
-  opts.store_dir = TempPath("cache");
+  opts.store_dir = tmp.Sub("cache");
   opts.host_cache_bytes = 64 * kMiB;  // fits the whole tiny model
   auto trainer = RatelTrainer::Create(&model, opts);
   ASSERT_TRUE(trainer.ok());
@@ -268,7 +264,7 @@ TEST(TrainerCacheTest, CacheServesHotModelStates) {
   EXPECT_EQ(read - from_cache, xfer.store_bytes_read);
 }
 
-TEST(TrainerCacheTest, TrainingNumericsUnchangedByCache) {
+TEST_F(TrainerCacheTest, TrainingNumericsUnchangedByCache) {
   auto run = [&](int64_t cache_bytes) {
     ag::TinyGptConfig cfg;
     cfg.vocab_size = 32;
@@ -278,7 +274,7 @@ TEST(TrainerCacheTest, TrainingNumericsUnchangedByCache) {
     cfg.num_layers = 1;
     ag::TinyGpt model(cfg, 8);
     TrainerOptions opts;
-    opts.store_dir = TempPath("cache_eq" + std::to_string(cache_bytes));
+    opts.store_dir = tmp.Sub("cache_eq" + std::to_string(cache_bytes));
     opts.host_cache_bytes = cache_bytes;
     auto trainer = RatelTrainer::Create(&model, opts);
     EXPECT_TRUE(trainer.ok());

@@ -1,5 +1,4 @@
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -18,14 +17,10 @@
 #include "runtime/checkpoint.h"
 #include "runtime/dataset.h"
 #include "runtime/ratel_trainer.h"
+#include "tests/scoped_temp_dir.h"
 
 namespace ratel {
 namespace {
-
-std::string TempPath(const std::string& tag) {
-  return ::testing::TempDir() + "/ratel_ext_" + tag + "_" +
-         std::to_string(::getpid());
-}
 
 // ---------- SyntheticDataset ----------
 
@@ -79,9 +74,10 @@ TEST(SyntheticDatasetTest, EvalBatchStableTrainStreamAdvances) {
 
 // ---------- Checkpoint ----------
 
-TEST(CheckpointTest, SaveLoadRoundTrip) {
+using CheckpointTest = TempDirTest;
+TEST_F(CheckpointTest, SaveLoadRoundTrip) {
   TransferOptions xfer;
-  xfer.dir = TempPath("ckpt_store");
+  xfer.dir = tmp.Sub("ckpt_store");
   xfer.num_stripes = 2;
   xfer.chunk_bytes = 4096;
   auto engine = TransferEngine::Open(xfer);
@@ -94,7 +90,7 @@ TEST(CheckpointTest, SaveLoadRoundTrip) {
   ASSERT_TRUE(adam.Register("blk0/w", w1).ok());
   ASSERT_TRUE(adam.Register("blk1/w", w2).ok());
 
-  const std::string path = TempPath("model.ckpt");
+  const std::string path = tmp.Sub("model.ckpt");
   ASSERT_TRUE(checkpoint::Save(adam, {"blk0/w", "blk1/w"}, path).ok());
   // The master-copy readout travels on the checkpoint flow.
   EXPECT_EQ((*engine)->stats().Flow(FlowClass::kCheckpoint).bytes_read,
@@ -108,10 +104,10 @@ TEST(CheckpointTest, SaveLoadRoundTrip) {
   EXPECT_EQ((*entries)[1].values, w2);
 }
 
-TEST(CheckpointTest, RejectsGarbageAndMissing) {
-  EXPECT_EQ(checkpoint::Load(TempPath("nonexistent")).status().code(),
+TEST_F(CheckpointTest, RejectsGarbageAndMissing) {
+  EXPECT_EQ(checkpoint::Load(tmp.Sub("nonexistent")).status().code(),
             StatusCode::kNotFound);
-  const std::string path = TempPath("garbage.ckpt");
+  const std::string path = tmp.Sub("garbage.ckpt");
   {
     std::FILE* f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);
@@ -122,7 +118,7 @@ TEST(CheckpointTest, RejectsGarbageAndMissing) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(CheckpointTest, CorruptCountsFailAsDataLossWithoutAllocating) {
+TEST_F(CheckpointTest, CorruptCountsFailAsDataLossWithoutAllocating) {
   // A v1 header claiming 2^32-1 entries, then one entry claiming 2^40
   // elements: both exceed the bytes in the file and must be rejected
   // before anything is reserved or resized.
@@ -139,7 +135,7 @@ TEST(CheckpointTest, CorruptCountsFailAsDataLossWithoutAllocating) {
     std::fwrite(&n, sizeof(n), 1, f);
     std::fclose(f);
   };
-  const std::string path = TempPath("corrupt_counts.ckpt");
+  const std::string path = tmp.Sub("corrupt_counts.ckpt");
   write_file(path, /*count=*/0xFFFFFFFFu, /*n=*/0);
   EXPECT_EQ(checkpoint::Load(path).status().code(), StatusCode::kDataLoss);
   write_file(path, /*count=*/1, /*n=*/uint64_t{1} << 40);
@@ -148,74 +144,40 @@ TEST(CheckpointTest, CorruptCountsFailAsDataLossWithoutAllocating) {
 
 // ---------- TierCache ----------
 
-TEST(TierCacheTest, HitAfterPut) {
-  auto store = BlockStore::Open(TempPath("tc1"), 2, 4096);
-  ASSERT_TRUE(store.ok());
-  TierCache cache(store->get(), 1 << 20);
-  std::vector<uint8_t> data(1000, 7);
-  ASSERT_TRUE(cache.Put("k", data.data(), data.size()).ok());
-  std::vector<uint8_t> out(1000);
-  ASSERT_TRUE(cache.Get("k", out.data(), out.size()).ok());
-  EXPECT_EQ(out, data);
-  EXPECT_EQ(cache.stats().hits, 1);
-  EXPECT_EQ(cache.stats().misses, 0);
-}
-
-TEST(TierCacheTest, MissFallsThroughAndPromotes) {
-  auto store = BlockStore::Open(TempPath("tc2"), 2, 4096);
-  ASSERT_TRUE(store.ok());
-  std::vector<uint8_t> data(512, 9);
-  ASSERT_TRUE((*store)->Put("cold", data.data(), data.size()).ok());
-  TierCache cache(store->get(), 1 << 20);
-  std::vector<uint8_t> out(512);
-  ASSERT_TRUE(cache.Get("cold", out.data(), out.size()).ok());
-  EXPECT_EQ(cache.stats().misses, 1);
-  ASSERT_TRUE(cache.Get("cold", out.data(), out.size()).ok());
-  EXPECT_EQ(cache.stats().hits, 1);  // promoted on first miss
-}
-
 TEST(TierCacheTest, LruEvictionUnderPressure) {
-  auto store = BlockStore::Open(TempPath("tc3"), 2, 4096);
-  ASSERT_TRUE(store.ok());
-  TierCache cache(store->get(), 2500);  // fits two 1000-byte blobs
-  std::vector<uint8_t> data(1000, 1);
-  ASSERT_TRUE(cache.Put("a", data.data(), data.size()).ok());
-  ASSERT_TRUE(cache.Put("b", data.data(), data.size()).ok());
-  std::vector<uint8_t> out(1000);
-  ASSERT_TRUE(cache.Get("a", out.data(), out.size()).ok());  // a is hot
-  ASSERT_TRUE(cache.Put("c", data.data(), data.size()).ok());  // evicts b
+  TierCache cache(2500);  // fits two 1000-byte blobs
+  const Buffer data = Buffer::Allocate(1000);
+  cache.AdmitBuffer("a", data);
+  cache.AdmitBuffer("b", data);
+  Buffer out;
+  ASSERT_TRUE(cache.TryGetRef("a", 1000, &out));  // a is hot
+  cache.AdmitBuffer("c", data);                    // evicts b
   EXPECT_GE(cache.stats().evictions, 1);
   const int64_t hits_before = cache.stats().hits;
-  ASSERT_TRUE(cache.Get("a", out.data(), out.size()).ok());
+  ASSERT_TRUE(cache.TryGetRef("a", 1000, &out));
   EXPECT_EQ(cache.stats().hits, hits_before + 1);  // a survived
-  ASSERT_TRUE(cache.Get("b", out.data(), out.size()).ok());
-  EXPECT_EQ(cache.stats().misses, 1);  // b was evicted -> store read
+  EXPECT_FALSE(cache.TryGetRef("b", 1000, &out));
+  EXPECT_EQ(cache.stats().misses, 1);  // b was evicted
   EXPECT_LE(cache.stats().bytes_cached, 2500);
 }
 
 TEST(TierCacheTest, OversizedBlobBypassesCache) {
-  auto store = BlockStore::Open(TempPath("tc4"), 2, 4096);
-  ASSERT_TRUE(store.ok());
-  TierCache cache(store->get(), 100);
-  std::vector<uint8_t> data(1000, 2);
-  ASSERT_TRUE(cache.Put("big", data.data(), data.size()).ok());
+  TierCache cache(100);
+  cache.AdmitBuffer("big", Buffer::Allocate(1000));
   EXPECT_EQ(cache.stats().bytes_cached, 0);
-  std::vector<uint8_t> out(1000);
-  ASSERT_TRUE(cache.Get("big", out.data(), out.size()).ok());  // via store
-  EXPECT_EQ(out, data);
+  Buffer out;
+  EXPECT_FALSE(cache.TryGetRef("big", 1000, &out));  // store-only
 }
 
 TEST(TierCacheTest, InvalidateDropsDramCopyOnly) {
-  auto store = BlockStore::Open(TempPath("tc5"), 2, 4096);
-  ASSERT_TRUE(store.ok());
-  TierCache cache(store->get(), 1 << 20);
-  std::vector<uint8_t> data(64, 3);
-  ASSERT_TRUE(cache.Put("k", data.data(), data.size()).ok());
+  TierCache cache(1 << 20);
+  const Buffer data = Buffer::Allocate(64);
+  cache.AdmitBuffer("k", data);
   cache.Invalidate("k");
   EXPECT_EQ(cache.stats().bytes_cached, 0);
-  std::vector<uint8_t> out(64);
-  ASSERT_TRUE(cache.Get("k", out.data(), out.size()).ok());  // store copy
-  EXPECT_EQ(out, data);
+  Buffer out;
+  EXPECT_FALSE(cache.TryGetRef("k", 64, &out));
+  EXPECT_EQ(data.use_count(), 1);  // the cache released its reference
 }
 
 // ---------- Recompute knapsack ----------
@@ -312,6 +274,7 @@ TEST(ActivationSpillTest, CollectsIntermediateNodes) {
 }
 
 TEST(ActivationSpillTest, SpillPreservesTrainingNumerics) {
+  const ScopedTempDir tmp("ext");
   auto run = [&](bool spill) {
     ag::TinyGptConfig cfg;
     cfg.vocab_size = 32;
@@ -322,7 +285,7 @@ TEST(ActivationSpillTest, SpillPreservesTrainingNumerics) {
     ag::TinyGpt model(cfg, 77);
     TrainerOptions opts;
     opts.spill_activations = spill;
-    opts.store_dir = TempPath(spill ? "spill_on" : "spill_off");
+    opts.store_dir = tmp.Sub(spill ? "spill_on" : "spill_off");
     auto trainer = RatelTrainer::Create(&model, opts);
     EXPECT_TRUE(trainer.ok());
     SyntheticDataset ds(SyntheticTask::kAffineMap, 32, 8, 9);

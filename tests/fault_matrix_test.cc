@@ -13,7 +13,6 @@
 // interleaving.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cstdint>
 #include <cstdlib>
@@ -25,14 +24,10 @@
 #include "runtime/async_update_engine.h"
 #include "storage/fault_injector.h"
 #include "xfer/transfer_engine.h"
+#include "tests/scoped_temp_dir.h"
 
 namespace ratel {
 namespace {
-
-std::string TempDir(const std::string& tag) {
-  return ::testing::TempDir() + "/ratel_fault_" + tag + "_" +
-         std::to_string(::getpid());
-}
 
 constexpr FaultKind kAllKinds[] = {
     FaultKind::kReadError, FaultKind::kWriteError, FaultKind::kLatencySpike,
@@ -97,14 +92,15 @@ std::vector<uint8_t> BlobData(int index) {
   return data;
 }
 
-TEST(FaultMatrixTest, EveryFaultKindRecoversOnEveryFlowClass) {
+using FaultMatrixTest = TempDirTest;
+TEST_F(FaultMatrixTest, EveryFaultKindRecoversOnEveryFlowClass) {
   int cell = 0;
   for (FaultKind kind : kAllKinds) {
     for (FlowClass flow : kAllFlows) {
       SCOPED_TRACE(std::string(FaultKindName(kind)) + " x " +
                    FlowClassName(flow));
       TransferOptions opts = FastRetryOptions(
-          TempDir(std::string("mx_") + FaultKindName(kind) + "_" +
+          tmp.Sub(std::string("mx_") + FaultKindName(kind) + "_" +
                   FlowClassName(flow)));
       opts.fault = ConfigFor(kind, /*seed=*/0xFA17u + cell);
       opts.fault.flow_mask = 1u << static_cast<int>(flow);
@@ -166,8 +162,8 @@ TEST(FaultMatrixTest, EveryFaultKindRecoversOnEveryFlowClass) {
   }
 }
 
-TEST(FaultMatrixTest, FlowMaskScopesFaultsToTheMaskedClass) {
-  TransferOptions opts = FastRetryOptions(TempDir("scope"));
+TEST_F(FaultMatrixTest, FlowMaskScopesFaultsToTheMaskedClass) {
+  TransferOptions opts = FastRetryOptions(tmp.Sub("scope"));
   opts.fault.seed = 0x5C0FEu;
   opts.fault.read_error_every = 2;
   opts.fault.flow_mask = 1u << static_cast<int>(FlowClass::kParamFetch);
@@ -204,8 +200,8 @@ TEST(FaultMatrixTest, FlowMaskScopesFaultsToTheMaskedClass) {
   EXPECT_GT((*engine)->stats().Flow(FlowClass::kParamFetch).retries, 0);
 }
 
-TEST(FaultMatrixTest, DeadStripeRelocatesExistingBlobsWithoutDataLoss) {
-  TransferOptions opts = FastRetryOptions(TempDir("restripe"));
+TEST_F(FaultMatrixTest, DeadStripeRelocatesExistingBlobsWithoutDataLoss) {
+  TransferOptions opts = FastRetryOptions(tmp.Sub("restripe"));
   opts.fault.seed = 0xDEADu;
   opts.fault.dead_stripe = 0;
   // Wear-out only bites checkpoint traffic; param_fetch seeds the blobs
@@ -241,8 +237,8 @@ TEST(FaultMatrixTest, DeadStripeRelocatesExistingBlobsWithoutDataLoss) {
   EXPECT_EQ((*engine)->stats().Flow(FlowClass::kCheckpoint).giveups, 0);
 }
 
-TEST(FaultMatrixTest, UnrecoverableFaultGivesUpAndCountsIt) {
-  TransferOptions opts = FastRetryOptions(TempDir("giveup"));
+TEST_F(FaultMatrixTest, UnrecoverableFaultGivesUpAndCountsIt) {
+  TransferOptions opts = FastRetryOptions(tmp.Sub("giveup"));
   opts.fault.seed = 7;
   opts.fault.write_error_every = 1;  // every attempt fails
   auto engine = TransferEngine::Open(opts);
@@ -260,8 +256,8 @@ TEST(FaultMatrixTest, UnrecoverableFaultGivesUpAndCountsIt) {
   EXPECT_EQ(c.retries, opts.retry.max_attempts - 1);
 }
 
-TEST(FaultMatrixTest, ZeroFaultConfigRunsCleanWithoutAnInjector) {
-  TransferOptions opts = FastRetryOptions(TempDir("clean"));
+TEST_F(FaultMatrixTest, ZeroFaultConfigRunsCleanWithoutAnInjector) {
+  TransferOptions opts = FastRetryOptions(tmp.Sub("clean"));
   auto engine = TransferEngine::Open(opts);
   ASSERT_TRUE(engine.ok());
   // enabled() is false: no injector is allocated, so the hot path pays
@@ -288,7 +284,7 @@ TEST(FaultMatrixTest, ZeroFaultConfigRunsCleanWithoutAnInjector) {
   EXPECT_EQ(c.backoff_seconds, 0.0);
 }
 
-TEST(FaultMatrixTest, EnvKnobsOverlayOntoBaseConfig) {
+TEST_F(FaultMatrixTest, EnvKnobsOverlayOntoBaseConfig) {
   ::setenv("RATEL_FAULT_SEED", "99", 1);
   ::setenv("RATEL_FAULT_READ_ERROR_EVERY", "3", 1);
   ::setenv("RATEL_FAULT_LATENCY_SPIKE_MS", "2.5", 1);
@@ -312,7 +308,7 @@ TEST(FaultMatrixTest, EnvKnobsOverlayOntoBaseConfig) {
   EXPECT_TRUE(cfg.enabled());
 }
 
-TEST(FaultMatrixTest, EnvFlowListParsesDeferredState) {
+TEST_F(FaultMatrixTest, EnvFlowListParsesDeferredState) {
   ::setenv("RATEL_FAULT_WRITE_ERROR_EVERY", "2", 1);
   ::setenv("RATEL_FAULT_FLOWS", "deferred_state", 1);
   const FaultConfig cfg = FaultConfig::FromEnv(FaultConfig{});
@@ -352,8 +348,8 @@ std::vector<float> InitParams() {
 }
 
 // Clean sync reference on an unfaulted engine.
-std::vector<float> CleanSyncReference(const std::string& tag) {
-  TransferOptions opts = FastRetryOptions(TempDir(tag));
+std::vector<float> CleanSyncReference(const std::string& dir) {
+  TransferOptions opts = FastRetryOptions(dir);
   auto engine = TransferEngine::Open(opts);
   EXPECT_TRUE(engine.ok());
   AsyncUpdateEngine adam(AdamConfig{}, engine->get());
@@ -366,8 +362,8 @@ std::vector<float> CleanSyncReference(const std::string& tag) {
   return master;
 }
 
-TEST(FaultMatrixTest, DeferredStateWriteErrorsRetryWithoutForegroundRetries) {
-  TransferOptions opts = FastRetryOptions(TempDir("dfs_we"));
+TEST_F(FaultMatrixTest, DeferredStateWriteErrorsRetryWithoutForegroundRetries) {
+  TransferOptions opts = FastRetryOptions(tmp.Sub("dfs_we"));
   opts.host_cache_bytes = 1 << 20;  // published barrier: overlap stays
   opts.fault.seed = 0xD3F3u;
   opts.fault.write_error_every = 2;
@@ -391,7 +387,7 @@ TEST(FaultMatrixTest, DeferredStateWriteErrorsRetryWithoutForegroundRetries) {
 
     std::vector<float> master;
     ASSERT_TRUE(adam.FetchMasterParams("w", &master).ok());
-    const std::vector<float> ref = CleanSyncReference("dfs_we_ref");
+    const std::vector<float> ref = CleanSyncReference(tmp.Sub("dfs_we_ref"));
     ASSERT_EQ(master.size(), ref.size());
     EXPECT_EQ(std::memcmp(master.data(), ref.data(),
                           master.size() * sizeof(float)),
@@ -411,8 +407,8 @@ TEST(FaultMatrixTest, DeferredStateWriteErrorsRetryWithoutForegroundRetries) {
   EXPECT_EQ(stats.Flow(FlowClass::kCheckpoint).retries, 0);
 }
 
-TEST(FaultMatrixTest, DeadStripeOnDeferredStateRestripesInTheBackground) {
-  TransferOptions opts = FastRetryOptions(TempDir("dfs_ds"));
+TEST_F(FaultMatrixTest, DeadStripeOnDeferredStateRestripesInTheBackground) {
+  TransferOptions opts = FastRetryOptions(tmp.Sub("dfs_ds"));
   opts.host_cache_bytes = 1 << 20;
   opts.fault.seed = 0xD3ADu;
   opts.fault.dead_stripe = 0;
@@ -443,7 +439,7 @@ TEST(FaultMatrixTest, DeadStripeOnDeferredStateRestripesInTheBackground) {
 
     std::vector<float> master;
     ASSERT_TRUE(adam.FetchMasterParams("w", &master).ok());
-    const std::vector<float> ref = CleanSyncReference("dfs_ds_ref");
+    const std::vector<float> ref = CleanSyncReference(tmp.Sub("dfs_ds_ref"));
     ASSERT_EQ(master.size(), ref.size());
     EXPECT_EQ(std::memcmp(master.data(), ref.data(),
                           master.size() * sizeof(float)),
@@ -465,12 +461,12 @@ TEST(FaultMatrixTest, DeadStripeOnDeferredStateRestripesInTheBackground) {
 // decode, is retried per RetryPolicy, and surfaces as kDataLoss after
 // the budget instead of ever decoding silent garbage.
 
-TEST(FaultMatrixTest, CodecFramedFlowRecoversFromEveryFaultKind) {
+TEST_F(FaultMatrixTest, CodecFramedFlowRecoversFromEveryFaultKind) {
   int cell = 0;
   for (FaultKind kind : kAllKinds) {
     SCOPED_TRACE(std::string(FaultKindName(kind)) + " x identity codec");
     TransferOptions opts = FastRetryOptions(
-        TempDir(std::string("cx_") + FaultKindName(kind)));
+        tmp.Sub(std::string("cx_") + FaultKindName(kind)));
     opts.codec.spec(FlowClass::kCheckpoint) = "identity";
     opts.fault = ConfigFor(kind, /*seed=*/0xC0DEC0u + cell);
     opts.fault.flow_mask = 1u << static_cast<int>(FlowClass::kCheckpoint);
@@ -530,8 +526,8 @@ void PlantCorruptFrame(TransferEngine* engine, const std::string& key,
                   .ok());
 }
 
-TEST(FaultMatrixTest, BitRotInAFrameIsDetectedRetriedAndSurfaced) {
-  TransferOptions opts = FastRetryOptions(TempDir("bitrot"));
+TEST_F(FaultMatrixTest, BitRotInAFrameIsDetectedRetriedAndSurfaced) {
+  TransferOptions opts = FastRetryOptions(tmp.Sub("bitrot"));
   opts.codec.spec(FlowClass::kCheckpoint) = "identity";
   auto engine = TransferEngine::Open(opts);
   ASSERT_TRUE(engine.ok());
@@ -562,11 +558,11 @@ TEST(FaultMatrixTest, BitRotInAFrameIsDetectedRetriedAndSurfaced) {
   EXPECT_EQ(c.errors, 2);
 }
 
-TEST(FaultMatrixTest, TornFrameTailIsDetectedByThePayloadCrc) {
+TEST_F(FaultMatrixTest, TornFrameTailIsDetectedByThePayloadCrc) {
   // A torn frame: the header and the first half of the payload are
   // intact, the tail is stale garbage — exactly what a power-cut
   // mid-write leaves behind. The payload CRC must reject it.
-  TransferOptions opts = FastRetryOptions(TempDir("tornframe"));
+  TransferOptions opts = FastRetryOptions(tmp.Sub("tornframe"));
   opts.codec.spec(FlowClass::kGradState) = "identity";
   auto engine = TransferEngine::Open(opts);
   ASSERT_TRUE(engine.ok());
@@ -594,11 +590,11 @@ TEST(FaultMatrixTest, TornFrameTailIsDetectedByThePayloadCrc) {
   EXPECT_EQ(c.giveups, 1);
 }
 
-TEST(FaultMatrixTest, TransientReadFaultsOnFramesDecodeAfterRetry) {
+TEST_F(FaultMatrixTest, TransientReadFaultsOnFramesDecodeAfterRetry) {
   // Store-level read errors under a codec'd flow: the failed store
   // attempts never reach the decode hook, the retried attempt decodes
   // cleanly — transient faults cost retries, not decode failures.
-  TransferOptions opts = FastRetryOptions(TempDir("codec_transient"));
+  TransferOptions opts = FastRetryOptions(tmp.Sub("codec_transient"));
   opts.codec.spec(FlowClass::kActivationSpill) = "fp16";
   opts.fault.seed = 0xF1FA;
   opts.fault.read_error_every = 2;
@@ -638,14 +634,14 @@ TEST(FaultMatrixTest, TransientReadFaultsOnFramesDecodeAfterRetry) {
 
 // ---------- Tenant-scoped fault storms (multi-tenant isolation) ----------
 
-TEST(FaultMatrixTest, RetryStormScopedToOneTenantLeavesTheNeighborClean) {
+TEST_F(FaultMatrixTest, RetryStormScopedToOneTenantLeavesTheNeighborClean) {
   // Two jobs share one engine whose fault model is scoped to job A's
   // key namespace (FaultConfig::key_prefix = "jobA/"): every second
   // write of an A-owned blob fails transiently. A must recover through
   // retries; B's per-tenant counters must show zero recovery work —
   // no retries, no errors, no backoff stalls leaking across tenants.
   JobManager::Options options;
-  options.engine = FastRetryOptions(TempDir("tenant_storm"));
+  options.engine = FastRetryOptions(tmp.Sub("tenant_storm"));
   options.engine.fault.write_error_every = 2;
   options.engine.fault.key_prefix = "jobA/";
   auto manager_or = JobManager::Create(options);

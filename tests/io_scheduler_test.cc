@@ -1,7 +1,6 @@
 #include "storage/io_scheduler.h"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -12,39 +11,42 @@
 
 #include "common/rng.h"
 #include "storage/fault_injector.h"
+#include "tests/scoped_temp_dir.h"
 
 namespace ratel {
 namespace {
 
-std::string TempDir(const std::string& tag) {
-  return ::testing::TempDir() + "/ratel_iosched_" + tag + "_" +
-         std::to_string(::getpid());
+Buffer Bytes(const std::vector<uint8_t>& v) {
+  return Buffer::CopyOf(v.data(), static_cast<int64_t>(v.size()));
 }
 
-TEST(IoSchedulerTest, WriteThenReadRoundTrip) {
-  auto store = BlockStore::Open(TempDir("rt"), 2, 4096);
+std::vector<uint8_t> Vec(const Buffer& b) { return {b.begin(), b.end()}; }
+
+using IoSchedulerTest = TempDirTest;
+TEST_F(IoSchedulerTest, WriteThenReadRoundTrip) {
+  auto store = BlockStore::Open(tmp.path(), 2, 4096);
   ASSERT_TRUE(store.ok());
   IoScheduler sched(store->get(), 2);
   Rng rng(1);
   std::vector<uint8_t> data(5000);
   for (auto& b : data) b = static_cast<uint8_t>(rng.NextU64());
-  const auto wt = sched.SubmitWrite("blob", data.data(), data.size(),
+  const auto wt = sched.SubmitWrite("blob", Bytes(data),
                                     IoScheduler::Priority::kBackground);
   ASSERT_TRUE(sched.Wait(wt).ok());
-  std::vector<uint8_t> out;
-  const auto rt = sched.SubmitRead(
-      "blob", &out, data.size(), IoScheduler::Priority::kLatencyCritical);
+  Buffer out = Buffer::Allocate(data.size());
+  const auto rt =
+      sched.SubmitRead("blob", out, IoScheduler::Priority::kLatencyCritical);
   ASSERT_TRUE(sched.Wait(rt).ok());
-  EXPECT_EQ(out, data);
+  EXPECT_EQ(Vec(out), data);
 }
 
-TEST(IoSchedulerTest, DrainWaitsForEverything) {
-  auto store = BlockStore::Open(TempDir("drain"), 2, 4096);
+TEST_F(IoSchedulerTest, DrainWaitsForEverything) {
+  auto store = BlockStore::Open(tmp.path(), 2, 4096);
   ASSERT_TRUE(store.ok());
   IoScheduler sched(store->get(), 3);
   std::vector<uint8_t> data(256, 0xAB);
   for (int i = 0; i < 40; ++i) {
-    sched.SubmitWrite("k" + std::to_string(i), data.data(), data.size(),
+    sched.SubmitWrite("k" + std::to_string(i), Bytes(data),
                       i % 2 ? IoScheduler::Priority::kBackground
                             : IoScheduler::Priority::kLatencyCritical);
   }
@@ -64,20 +66,21 @@ TEST(IoSchedulerTest, DrainWaitsForEverything) {
 class StarvationHarness {
  public:
   explicit StarvationHarness(const std::string& tag, int workers = 1,
-                             IoScheduler::Tuning tuning = {}) {
-    auto store_or = BlockStore::Open(TempDir(tag), 2, 4096,
+                             IoScheduler::Tuning tuning = {})
+      : tmp_("iosched_" + tag) {
+    auto store_or = BlockStore::Open(tmp_.path(), 2, 4096,
                                      BlockStore::Tuning{&injector_, 3});
     EXPECT_TRUE(store_or.ok());
     store_ = std::move(store_or).value();
     sched_ = std::make_unique<IoScheduler>(store_.get(), workers, tuning);
     injector_.StallOpsOn("gate");
-    sched_->SubmitWrite("gate", byte_.data(), 1,
+    sched_->SubmitWrite("gate", Bytes(byte_),
                         IoScheduler::Priority::kLatencyCritical);
     injector_.WaitForStalled(1);  // the worker is now held busy
   }
 
   void SubmitTagged(const std::string& key, IoScheduler::Priority priority) {
-    sched_->SubmitWrite(key, byte_.data(), 1, priority,
+    sched_->SubmitWrite(key, Bytes(byte_), priority,
                         [this, key](const IoResult&) {
                           std::lock_guard<std::mutex> lock(mu_);
                           order_.push_back(key);
@@ -94,6 +97,7 @@ class StarvationHarness {
   IoScheduler& sched() { return *sched_; }
 
  private:
+  const ScopedTempDir tmp_;
   FaultInjector injector_{FaultConfig{}};
   std::unique_ptr<BlockStore> store_;
   std::unique_ptr<IoScheduler> sched_;
@@ -102,7 +106,7 @@ class StarvationHarness {
   std::vector<std::string> order_;
 };
 
-TEST(IoSchedulerTest, CriticalClassServedFirst) {
+TEST_F(IoSchedulerTest, CriticalClassServedFirst) {
   // Single worker, parked while we fill the queues: the critical
   // request must overtake the whole queued background tail.
   StarvationHarness harness("prio");
@@ -122,7 +126,7 @@ TEST(IoSchedulerTest, CriticalClassServedFirst) {
   EXPECT_EQ(harness.sched().completed_background(), 30);
 }
 
-TEST(IoSchedulerTest, NormalClassOvertakesTheBackgroundBacklog) {
+TEST_F(IoSchedulerTest, NormalClassOvertakesTheBackgroundBacklog) {
   // The stall the deferred-update pipeline must not re-introduce: a
   // foreground-waited (normal) state request queued behind a large
   // accumulated backlog of deferred background writes. The normal
@@ -147,25 +151,24 @@ TEST(IoSchedulerTest, NormalClassOvertakesTheBackgroundBacklog) {
   EXPECT_EQ(harness.sched().completed_background(), 20);
 }
 
-TEST(IoSchedulerTest, ErrorsSurfaceThroughWaitAndDrain) {
-  auto store = BlockStore::Open(TempDir("err"), 2, 4096);
+TEST_F(IoSchedulerTest, ErrorsSurfaceThroughWaitAndDrain) {
+  auto store = BlockStore::Open(tmp.path(), 2, 4096);
   ASSERT_TRUE(store.ok());
   IoScheduler sched(store->get(), 2);
-  std::vector<uint8_t> out;
-  const auto bad = sched.SubmitRead(
-      "missing", &out, 64, IoScheduler::Priority::kLatencyCritical);
+  const auto bad = sched.SubmitRead("missing", Buffer::Allocate(64),
+                                    IoScheduler::Priority::kLatencyCritical);
   EXPECT_EQ(sched.Wait(bad).code(), StatusCode::kNotFound);
   EXPECT_EQ(sched.Drain().code(), StatusCode::kNotFound);  // first error
 }
 
-TEST(IoSchedulerTest, CompletionCallbackRunsBeforeTicketResolves) {
-  auto store = BlockStore::Open(TempDir("cb"), 2, 4096);
+TEST_F(IoSchedulerTest, CompletionCallbackRunsBeforeTicketResolves) {
+  auto store = BlockStore::Open(tmp.path(), 2, 4096);
   ASSERT_TRUE(store.ok());
   IoScheduler sched(store->get(), 2);
   std::vector<uint8_t> data(128, 0x5A);
   std::atomic<bool> write_cb{false};
   const auto wt = sched.SubmitWrite(
-      "k", data.data(), data.size(), IoScheduler::Priority::kBackground,
+      "k", Bytes(data), IoScheduler::Priority::kBackground,
       [&](const IoResult& r) {
         EXPECT_TRUE(r.status.ok());
         EXPECT_EQ(r.attempts, 1);
@@ -176,10 +179,9 @@ TEST(IoSchedulerTest, CompletionCallbackRunsBeforeTicketResolves) {
   EXPECT_TRUE(write_cb.load());  // callback effects visible by Wait-return
   // Errors reach the callback too. kNotFound is not transient, so no
   // retries are burned on it.
-  std::vector<uint8_t> out;
   std::atomic<bool> saw_not_found{false};
   const auto bad = sched.SubmitRead(
-      "missing", &out, 64, IoScheduler::Priority::kLatencyCritical,
+      "missing", Buffer::Allocate(64), IoScheduler::Priority::kLatencyCritical,
       [&](const IoResult& r) {
         saw_not_found.store(r.status.code() == StatusCode::kNotFound &&
                             r.attempts == 1 && !r.gave_up);
@@ -188,7 +190,7 @@ TEST(IoSchedulerTest, CompletionCallbackRunsBeforeTicketResolves) {
   EXPECT_TRUE(saw_not_found.load());
 }
 
-TEST(IoSchedulerTest, AgingPromotesStarvedBackgroundRequest) {
+TEST_F(IoSchedulerTest, AgingPromotesStarvedBackgroundRequest) {
   IoScheduler::Tuning tuning;
   tuning.background_aging_limit = 8;
   StarvationHarness harness("aging", 1, tuning);
@@ -213,7 +215,7 @@ TEST(IoSchedulerTest, AgingPromotesStarvedBackgroundRequest) {
   EXPECT_EQ(harness.sched().promoted_background(), 1);
 }
 
-TEST(IoSchedulerTest, AgingPromotesStarvedNormalRequest) {
+TEST_F(IoSchedulerTest, AgingPromotesStarvedNormalRequest) {
   IoScheduler::Tuning tuning;
   tuning.background_aging_limit = 8;
   StarvationHarness harness("aging_nrm", 1, tuning);
@@ -234,7 +236,7 @@ TEST(IoSchedulerTest, AgingPromotesStarvedNormalRequest) {
   EXPECT_EQ(harness.sched().completed_normal(), 1);
 }
 
-TEST(IoSchedulerTest, StrictPriorityStarvesBackgroundRegression) {
+TEST_F(IoSchedulerTest, StrictPriorityStarvesBackgroundRegression) {
   IoScheduler::Tuning tuning;
   tuning.background_aging_limit = 0;  // strict priority, no aging
   StarvationHarness harness("strict", 1, tuning);
@@ -252,8 +254,8 @@ TEST(IoSchedulerTest, StrictPriorityStarvesBackgroundRegression) {
   EXPECT_EQ(harness.sched().promoted_background(), 0);
 }
 
-TEST(IoSchedulerTest, ConcurrentMixedLoad) {
-  auto store = BlockStore::Open(TempDir("mixed"), 4, 4096);
+TEST_F(IoSchedulerTest, ConcurrentMixedLoad) {
+  auto store = BlockStore::Open(tmp.path(), 4, 4096);
   ASSERT_TRUE(store.ok());
   IoScheduler sched(store->get(), 4);
   Rng rng(7);
@@ -263,32 +265,30 @@ TEST(IoSchedulerTest, ConcurrentMixedLoad) {
     blobs[i].resize(200 + rng.NextBelow(800));
     for (auto& b : blobs[i]) b = static_cast<uint8_t>(rng.NextU64());
     writes.push_back(sched.SubmitWrite(
-        "m" + std::to_string(i), blobs[i].data(),
-        static_cast<int64_t>(blobs[i].size()),
+        "m" + std::to_string(i), Bytes(blobs[i]),
         i % 3 ? IoScheduler::Priority::kBackground
               : IoScheduler::Priority::kLatencyCritical));
   }
   for (auto t : writes) ASSERT_TRUE(sched.Wait(t).ok());
-  std::vector<std::vector<uint8_t>> outs(32);
+  std::vector<Buffer> outs;
   std::vector<IoScheduler::Ticket> reads;
   for (int i = 0; i < 32; ++i) {
-    reads.push_back(sched.SubmitRead(
-        "m" + std::to_string(i), &outs[i],
-        static_cast<int64_t>(blobs[i].size()),
-        IoScheduler::Priority::kLatencyCritical));
+    outs.push_back(Buffer::Allocate(blobs[i].size()));
+    reads.push_back(sched.SubmitRead("m" + std::to_string(i), outs[i],
+                                     IoScheduler::Priority::kLatencyCritical));
   }
   for (int i = 0; i < 32; ++i) {
     ASSERT_TRUE(sched.Wait(reads[i]).ok());
-    EXPECT_EQ(outs[i], blobs[i]) << i;
+    EXPECT_EQ(Vec(outs[i]), blobs[i]) << i;
   }
 }
 
-TEST(IoSchedulerTest, TransientReadErrorsRetriedToSuccess) {
+TEST_F(IoSchedulerTest, TransientReadErrorsRetriedToSuccess) {
   FaultConfig fault;
   fault.seed = 11;
   fault.read_error_every = 2;  // every 2nd read attempt of a key fails
   FaultInjector injector(fault);
-  auto store = BlockStore::Open(TempDir("retry"), 2, 4096,
+  auto store = BlockStore::Open(tmp.path(), 2, 4096,
                                 BlockStore::Tuning{&injector, 3});
   ASSERT_TRUE(store.ok());
   IoScheduler::Tuning tuning;
@@ -296,16 +296,16 @@ TEST(IoSchedulerTest, TransientReadErrorsRetriedToSuccess) {
   IoScheduler sched(store->get(), 2, tuning);
   std::vector<uint8_t> data(512, 0x3C);
   for (int i = 0; i < 8; ++i) {
-    sched.SubmitWrite("r" + std::to_string(i), data.data(), data.size(),
+    sched.SubmitWrite("r" + std::to_string(i), Bytes(data),
                       IoScheduler::Priority::kBackground);
   }
   ASSERT_TRUE(sched.Drain().ok());
-  std::vector<std::vector<uint8_t>> outs(8);
   for (int i = 0; i < 8; ++i) {
-    const auto t = sched.SubmitRead("r" + std::to_string(i), &outs[i], 512,
+    Buffer out = Buffer::Allocate(512);
+    const auto t = sched.SubmitRead("r" + std::to_string(i), out,
                                     IoScheduler::Priority::kLatencyCritical);
     ASSERT_TRUE(sched.Wait(t).ok()) << i;
-    EXPECT_EQ(outs[i], data) << i;
+    EXPECT_EQ(Vec(out), data) << i;
   }
   // With period 2, each key loses exactly one of its first two attempts.
   EXPECT_GT(sched.total_retries(), 0);
@@ -313,12 +313,12 @@ TEST(IoSchedulerTest, TransientReadErrorsRetriedToSuccess) {
   EXPECT_GT(injector.counts().read_errors, 0);
 }
 
-TEST(IoSchedulerTest, PermanentFailureGivesUpAfterMaxAttempts) {
+TEST_F(IoSchedulerTest, PermanentFailureGivesUpAfterMaxAttempts) {
   FaultConfig fault;
   fault.seed = 5;
   fault.write_error_every = 1;  // every write attempt fails
   FaultInjector injector(fault);
-  auto store = BlockStore::Open(TempDir("giveup"), 2, 4096,
+  auto store = BlockStore::Open(tmp.path(), 2, 4096,
                                 BlockStore::Tuning{&injector, 1 << 20});
   ASSERT_TRUE(store.ok());
   IoScheduler::Tuning tuning;
@@ -329,7 +329,7 @@ TEST(IoSchedulerTest, PermanentFailureGivesUpAfterMaxAttempts) {
   std::atomic<int> attempts{0};
   std::atomic<bool> gave_up{false};
   const auto t = sched.SubmitWrite(
-      "doomed", data.data(), data.size(), IoScheduler::Priority::kBackground,
+      "doomed", Bytes(data), IoScheduler::Priority::kBackground,
       [&](const IoResult& r) {
         attempts.store(r.attempts);
         gave_up.store(r.gave_up);
@@ -341,12 +341,12 @@ TEST(IoSchedulerTest, PermanentFailureGivesUpAfterMaxAttempts) {
   EXPECT_EQ(sched.total_giveups(), 1);
 }
 
-TEST(IoSchedulerTest, BackoffDeadlineCapsRetrySleep) {
+TEST_F(IoSchedulerTest, BackoffDeadlineCapsRetrySleep) {
   FaultConfig fault;
   fault.seed = 5;
   fault.write_error_every = 1;
   FaultInjector injector(fault);
-  auto store = BlockStore::Open(TempDir("deadline"), 2, 4096,
+  auto store = BlockStore::Open(tmp.path(), 2, 4096,
                                 BlockStore::Tuning{&injector, 1 << 20});
   ASSERT_TRUE(store.ok());
   IoScheduler::Tuning tuning;
@@ -364,7 +364,7 @@ TEST(IoSchedulerTest, BackoffDeadlineCapsRetrySleep) {
   std::vector<uint8_t> data(64, 0x11);
   std::atomic<bool> gave_up{false};
   const auto t = sched.SubmitWrite(
-      "doomed", data.data(), data.size(), IoScheduler::Priority::kBackground,
+      "doomed", Bytes(data), IoScheduler::Priority::kBackground,
       [&](const IoResult& r) { gave_up.store(r.gave_up); });
   EXPECT_EQ(sched.Wait(t).code(), StatusCode::kUnavailable);
   EXPECT_TRUE(gave_up.load());
@@ -374,22 +374,22 @@ TEST(IoSchedulerTest, BackoffDeadlineCapsRetrySleep) {
   EXPECT_EQ(sched.total_giveups(), 1);
 }
 
-TEST(IoSchedulerTest, WaitOnUnknownOrConsumedTicketIsChecked) {
-  auto store = BlockStore::Open(TempDir("ticket"), 2, 4096);
+TEST_F(IoSchedulerTest, WaitOnUnknownOrConsumedTicketIsChecked) {
+  auto store = BlockStore::Open(tmp.path(), 2, 4096);
   ASSERT_TRUE(store.ok());
   IoScheduler sched(store->get(), 2);
   EXPECT_EQ(sched.Wait(987654).code(), StatusCode::kInvalidArgument);
   std::vector<uint8_t> data(64, 0x42);
-  const auto t = sched.SubmitWrite("k", data.data(), data.size(),
-                                   IoScheduler::Priority::kBackground);
+  const auto t =
+      sched.SubmitWrite("k", Bytes(data), IoScheduler::Priority::kBackground);
   ASSERT_TRUE(sched.Wait(t).ok());
   // A ticket is single-use: the second Wait is a caller bug, reported
   // as kInvalidArgument instead of blocking forever.
   EXPECT_EQ(sched.Wait(t).code(), StatusCode::kInvalidArgument);
 }
 
-TEST(IoSchedulerTest, BufferPayloadRoundTrip) {
-  auto store = BlockStore::Open(TempDir("bufrt"), 2, 4096);
+TEST_F(IoSchedulerTest, BufferPayloadRoundTrip) {
+  auto store = BlockStore::Open(tmp.path(), 2, 4096);
   ASSERT_TRUE(store.ok());
   IoScheduler sched(store->get(), 2);
   Buffer payload = Buffer::Allocate(5000);

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 #include <stdlib.h>
-#include <unistd.h>
 
 #include <chrono>
 #include <condition_variable>
@@ -18,14 +17,10 @@
 
 #include "common/rng.h"
 #include "runtime/ratel_trainer.h"
+#include "tests/scoped_temp_dir.h"
 
 namespace ratel {
 namespace {
-
-std::string TempDir(const std::string& tag) {
-  return ::testing::TempDir() + "/ratel_jobmgr_" + tag + "_" +
-         std::to_string(::getpid());
-}
 
 ag::TinyGptConfig SmallConfig() {
   ag::TinyGptConfig cfg;
@@ -37,9 +32,9 @@ ag::TinyGptConfig SmallConfig() {
   return cfg;
 }
 
-JobManager::Options ManagerOptions(const std::string& tag) {
+JobManager::Options ManagerOptions(const std::string& dir) {
   JobManager::Options options;
-  options.engine.dir = TempDir(tag);
+  options.engine.dir = dir;
   options.engine.num_stripes = 2;
   options.engine.chunk_bytes = 1 << 16;
   options.engine.io_workers = 2;
@@ -109,8 +104,9 @@ TEST(JobDemandTest, NamesAreStable) {
   EXPECT_STREQ(JobStateName(JobState::kRejected), "rejected");
 }
 
-TEST(JobManagerTest, RejectsMalformedSpecs) {
-  auto manager_or = JobManager::Create(ManagerOptions("malformed"));
+using JobManagerTest = TempDirTest;
+TEST_F(JobManagerTest, RejectsMalformedSpecs) {
+  auto manager_or = JobManager::Create(ManagerOptions(tmp.Sub("malformed")));
   ASSERT_TRUE(manager_or.ok());
   JobManager& manager = **manager_or;
   JobSpec spec;
@@ -127,7 +123,7 @@ TEST(JobManagerTest, RejectsMalformedSpecs) {
   EXPECT_TRUE(manager.WaitAll().ok());
 }
 
-TEST(JobManagerTest, SingleJobMatchesBareTrainer) {
+TEST_F(JobManagerTest, SingleJobMatchesBareTrainer) {
   // The acceptance criterion of the tenancy layer: one job through the
   // JobManager (tenant lane, key namespace, shared engine) follows the
   // exact loss trajectory of a bare RatelTrainer on its own engine.
@@ -139,7 +135,7 @@ TEST(JobManagerTest, SingleJobMatchesBareTrainer) {
   {
     ag::TinyGpt model(cfg, /*seed=*/21);
     TrainerOptions opts;
-    opts.store_dir = TempDir("bare");
+    opts.store_dir = tmp.Sub("bare");
     auto trainer_or = RatelTrainer::Create(&model, opts);
     ASSERT_TRUE(trainer_or.ok());
     std::vector<int64_t> ids;
@@ -152,7 +148,7 @@ TEST(JobManagerTest, SingleJobMatchesBareTrainer) {
     }
   }
 
-  auto manager_or = JobManager::Create(ManagerOptions("single"));
+  auto manager_or = JobManager::Create(ManagerOptions(tmp.Sub("single")));
   ASSERT_TRUE(manager_or.ok());
   JobManager& manager = **manager_or;
   JobSpec spec;
@@ -181,11 +177,11 @@ TEST(JobManagerTest, SingleJobMatchesBareTrainer) {
   EXPECT_GT(job.xfer.Flow(FlowClass::kParamFetch).bytes_read, 0);
 }
 
-TEST(JobManagerTest, AdmitsQueuesAndRunsInCapacityOrder) {
+TEST_F(JobManagerTest, AdmitsQueuesAndRunsInCapacityOrder) {
   const ag::TinyGptConfig cfg = SmallConfig();
   const JobDemand demand = PlanJobDemand(cfg, 2);
 
-  JobManager::Options options = ManagerOptions("queue");
+  JobManager::Options options = ManagerOptions(tmp.Sub("queue"));
   options.ssd_budget_bytes = 2 * demand.ssd_bytes + demand.ssd_bytes / 2;
   auto manager_or = JobManager::Create(options);
   ASSERT_TRUE(manager_or.ok());
@@ -248,10 +244,10 @@ TEST(JobManagerTest, AdmitsQueuesAndRunsInCapacityOrder) {
   }
 }
 
-TEST(JobManagerTest, OverTotalBudgetJobIsRejectedNeverRun) {
+TEST_F(JobManagerTest, OverTotalBudgetJobIsRejectedNeverRun) {
   const ag::TinyGptConfig cfg = SmallConfig();
   const JobDemand demand = PlanJobDemand(cfg, 2);
-  JobManager::Options options = ManagerOptions("reject");
+  JobManager::Options options = ManagerOptions(tmp.Sub("reject"));
   options.ssd_budget_bytes = demand.ssd_bytes / 2;
   auto manager_or = JobManager::Create(options);
   ASSERT_TRUE(manager_or.ok());
@@ -275,7 +271,7 @@ TEST(JobManagerTest, OverTotalBudgetJobIsRejectedNeverRun) {
   EXPECT_EQ(stats.rejected, 1);
 }
 
-TEST(JobManagerTest, PreemptAndResumeContinueTheTrajectory) {
+TEST_F(JobManagerTest, PreemptAndResumeContinueTheTrajectory) {
   const ag::TinyGptConfig cfg = SmallConfig();
   const int64_t kSteps = 5;
 
@@ -287,7 +283,7 @@ TEST(JobManagerTest, PreemptAndResumeContinueTheTrajectory) {
   // Reference: the same job, never preempted.
   float uninterrupted_loss = 0.0f;
   {
-    auto manager_or = JobManager::Create(ManagerOptions("noresume"));
+    auto manager_or = JobManager::Create(ManagerOptions(tmp.Sub("noresume")));
     ASSERT_TRUE(manager_or.ok());
     JobSpec spec;
     spec.name = "ref";
@@ -302,7 +298,7 @@ TEST(JobManagerTest, PreemptAndResumeContinueTheTrajectory) {
     uninterrupted_loss = stats.jobs[0].last_loss;
   }
 
-  auto manager_or = JobManager::Create(ManagerOptions("resume"));
+  auto manager_or = JobManager::Create(ManagerOptions(tmp.Sub("resume")));
   ASSERT_TRUE(manager_or.ok());
   JobManager& manager = **manager_or;
 
@@ -318,7 +314,7 @@ TEST(JobManagerTest, PreemptAndResumeContinueTheTrajectory) {
   spec.seed = 5;
   spec.batch = 2;
   spec.steps = kSteps;
-  spec.checkpoint_dir = TempDir("resume_ckpt");
+  spec.checkpoint_dir = tmp.Sub("resume_ckpt");
   spec.batch_fn = [&](int64_t step, std::vector<int64_t>* ids,
                       std::vector<int64_t>* targets) {
     if (step == 0) {
@@ -331,8 +327,12 @@ TEST(JobManagerTest, PreemptAndResumeContinueTheTrajectory) {
   };
   ASSERT_TRUE(manager.Submit(spec).ok());
   {
+    // A job that never reaches step 0 (e.g. it resumed a stale
+    // checkpoint) fails the test instead of hanging it.
     std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return step0_reached; });
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(60),
+                            [&] { return step0_reached; }))
+        << "job never reached step 0";
   }
   ASSERT_TRUE(manager.Preempt("job").ok());
   {
@@ -367,10 +367,11 @@ TEST(JobManagerTest, PreemptAndResumeContinueTheTrajectory) {
 // spilling job parks between two steps, its last swap-out writes still
 // unwaited (write-behind), while its neighbor is preempted — and then
 // trains on to the end.
-TEST(JobManagerTest, PreemptingOneJobLeavesAnotherJobsTicketsWaitable) {
+TEST_F(JobManagerTest, PreemptingOneJobLeavesAnotherJobsTicketsWaitable) {
   const ag::TinyGptConfig cfg = SmallConfig();
   const int64_t kSteps = 4;
-  auto manager_or = JobManager::Create(ManagerOptions("preempt_neighbor"));
+  auto manager_or =
+      JobManager::Create(ManagerOptions(tmp.Sub("preempt_neighbor")));
   ASSERT_TRUE(manager_or.ok());
   JobManager& manager = **manager_or;
 
@@ -406,7 +407,7 @@ TEST(JobManagerTest, PreemptingOneJobLeavesAnotherJobsTicketsWaitable) {
   neighbor.seed = 10;
   neighbor.batch = 2;
   neighbor.steps = kSteps;
-  neighbor.checkpoint_dir = TempDir("preempt_neighbor_ckpt");
+  neighbor.checkpoint_dir = tmp.Sub("preempt_neighbor_ckpt");
   neighbor.batch_fn = [&](int64_t step, std::vector<int64_t>* ids,
                           std::vector<int64_t>* targets) {
     if (step == 0) {
@@ -456,12 +457,12 @@ TEST(JobManagerTest, PreemptingOneJobLeavesAnotherJobsTicketsWaitable) {
   EXPECT_EQ(stats.jobs[1].steps_done, 1);
 }
 
-TEST(JobManagerTest, EnvOverlaysApplyByJobName) {
+TEST_F(JobManagerTest, EnvOverlaysApplyByJobName) {
   // A tight in-flight quota overlay exercises the backpressure path
   // end to end; training must still complete correctly under it.
   ASSERT_EQ(setenv("RATEL_TENANT_WEIGHT", "quotajob=5,other=2", 1), 0);
   ASSERT_EQ(setenv("RATEL_TENANT_INFLIGHT_QUOTA", "quotajob=65536", 1), 0);
-  auto manager_or = JobManager::Create(ManagerOptions("envoverlay"));
+  auto manager_or = JobManager::Create(ManagerOptions(tmp.Sub("envoverlay")));
   ASSERT_TRUE(manager_or.ok());
   JobManager& manager = **manager_or;
   JobSpec spec;
@@ -479,9 +480,9 @@ TEST(JobManagerTest, EnvOverlaysApplyByJobName) {
   EXPECT_EQ(manager.engine().tenant_inflight_bytes(stats.jobs[0].tenant), 0);
 }
 
-TEST(JobManagerTest, ConcurrentJobsReconcileAgainstEngineTotals) {
+TEST_F(JobManagerTest, ConcurrentJobsReconcileAgainstEngineTotals) {
   const ag::TinyGptConfig cfg = SmallConfig();
-  JobManager::Options options = ManagerOptions("recon");
+  JobManager::Options options = ManagerOptions(tmp.Sub("recon"));
   options.engine.host_cache_bytes = 1 << 20;
   options.dram_budget_bytes = 0;  // unlimited; the small cache is not a gate
   auto manager_or = JobManager::Create(options);

@@ -1,5 +1,4 @@
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -12,19 +11,16 @@
 #include "mem/tier_cache.h"
 #include "storage/block_store.h"
 #include "storage/throttled_channel.h"
+#include "tests/scoped_temp_dir.h"
 
 namespace ratel {
 namespace {
 
-std::string TempDir(const std::string& tag) {
-  return ::testing::TempDir() + "/ratel_store_" + tag + "_" +
-         std::to_string(::getpid());
-}
-
 // ---------- BlockStore ----------
 
-TEST(BlockStoreTest, PutGetRoundTrip) {
-  auto store = BlockStore::Open(TempDir("rt"), 4, 1024);
+using BlockStoreTest = TempDirTest;
+TEST_F(BlockStoreTest, PutGetRoundTrip) {
+  auto store = BlockStore::Open(tmp.path(), 4, 1024);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   Rng rng(1);
   std::vector<uint8_t> data(10000);
@@ -35,8 +31,8 @@ TEST(BlockStoreTest, PutGetRoundTrip) {
   EXPECT_EQ(out, data);
 }
 
-TEST(BlockStoreTest, StripesAcrossFiles) {
-  auto store = BlockStore::Open(TempDir("stripe"), 4, 100);
+TEST_F(BlockStoreTest, StripesAcrossFiles) {
+  auto store = BlockStore::Open(tmp.path(), 4, 100);
   ASSERT_TRUE(store.ok());
   std::vector<uint8_t> data(1000, 0xAB);
   ASSERT_TRUE((*store)->Put("big", data.data(), data.size()).ok());
@@ -44,8 +40,8 @@ TEST(BlockStoreTest, StripesAcrossFiles) {
   EXPECT_EQ((*store)->num_stripes(), 4);
 }
 
-TEST(BlockStoreTest, OverwriteSameSizeInPlace) {
-  auto store = BlockStore::Open(TempDir("ow"), 2, 64);
+TEST_F(BlockStoreTest, OverwriteSameSizeInPlace) {
+  auto store = BlockStore::Open(tmp.path(), 2, 64);
   ASSERT_TRUE(store.ok());
   std::vector<uint8_t> a(500, 1), b(500, 2);
   ASSERT_TRUE((*store)->Put("k", a.data(), a.size()).ok());
@@ -57,8 +53,8 @@ TEST(BlockStoreTest, OverwriteSameSizeInPlace) {
   EXPECT_EQ(out, b);
 }
 
-TEST(BlockStoreTest, SizeChangingRewriteReallocates) {
-  auto store = BlockStore::Open(TempDir("resize"), 2, 64);
+TEST_F(BlockStoreTest, SizeChangingRewriteReallocates) {
+  auto store = BlockStore::Open(tmp.path(), 2, 64);
   ASSERT_TRUE(store.ok());
   std::vector<uint8_t> a(100, 1), b(300, 2);
   ASSERT_TRUE((*store)->Put("k", a.data(), a.size()).ok());
@@ -71,16 +67,16 @@ TEST(BlockStoreTest, SizeChangingRewriteReallocates) {
   EXPECT_EQ(out, b);
 }
 
-TEST(BlockStoreTest, GetMissingIsNotFound) {
-  auto store = BlockStore::Open(TempDir("miss"), 1, 64);
+TEST_F(BlockStoreTest, GetMissingIsNotFound) {
+  auto store = BlockStore::Open(tmp.path(), 1, 64);
   ASSERT_TRUE(store.ok());
   uint8_t buf[8];
   EXPECT_EQ((*store)->Get("nope", buf, 8).code(), StatusCode::kNotFound);
   EXPECT_FALSE((*store)->Contains("nope"));
 }
 
-TEST(BlockStoreTest, GetWrongSizeRejected) {
-  auto store = BlockStore::Open(TempDir("size"), 1, 64);
+TEST_F(BlockStoreTest, GetWrongSizeRejected) {
+  auto store = BlockStore::Open(tmp.path(), 1, 64);
   ASSERT_TRUE(store.ok());
   uint8_t data[16] = {0};
   ASSERT_TRUE((*store)->Put("k", data, 16).ok());
@@ -88,8 +84,8 @@ TEST(BlockStoreTest, GetWrongSizeRejected) {
   EXPECT_EQ((*store)->Get("k", buf, 8).code(), StatusCode::kInvalidArgument);
 }
 
-TEST(BlockStoreTest, DeleteRemovesKey) {
-  auto store = BlockStore::Open(TempDir("del"), 1, 64);
+TEST_F(BlockStoreTest, DeleteRemovesKey) {
+  auto store = BlockStore::Open(tmp.path(), 1, 64);
   ASSERT_TRUE(store.ok());
   uint8_t data[4] = {1, 2, 3, 4};
   ASSERT_TRUE((*store)->Put("k", data, 4).ok());
@@ -99,16 +95,16 @@ TEST(BlockStoreTest, DeleteRemovesKey) {
   EXPECT_EQ((*store)->Delete("k").code(), StatusCode::kNotFound);
 }
 
-TEST(BlockStoreTest, EmptyBlobAllowed) {
-  auto store = BlockStore::Open(TempDir("empty"), 2, 64);
+TEST_F(BlockStoreTest, EmptyBlobAllowed) {
+  auto store = BlockStore::Open(tmp.path(), 2, 64);
   ASSERT_TRUE(store.ok());
   ASSERT_TRUE((*store)->Put("nil", nullptr, 0).ok());
   EXPECT_TRUE((*store)->Contains("nil"));
   ASSERT_TRUE((*store)->Get("nil", nullptr, 0).ok());
 }
 
-TEST(BlockStoreTest, ManyKeysSurviveInterleavedWrites) {
-  auto store = BlockStore::Open(TempDir("many"), 3, 128);
+TEST_F(BlockStoreTest, ManyKeysSurviveInterleavedWrites) {
+  auto store = BlockStore::Open(tmp.path(), 3, 128);
   ASSERT_TRUE(store.ok());
   Rng rng(9);
   std::vector<std::vector<uint8_t>> blobs(50);
@@ -130,8 +126,8 @@ TEST(BlockStoreTest, ManyKeysSurviveInterleavedWrites) {
   }
 }
 
-TEST(BlockStoreTest, ConcurrentDistinctKeys) {
-  auto store = BlockStore::Open(TempDir("conc"), 4, 256);
+TEST_F(BlockStoreTest, ConcurrentDistinctKeys) {
+  auto store = BlockStore::Open(tmp.path(), 4, 256);
   ASSERT_TRUE(store.ok());
   constexpr int kThreads = 4, kKeysPerThread = 20;
   std::vector<std::thread> threads;
@@ -164,13 +160,13 @@ TEST(BlockStoreTest, ConcurrentDistinctKeys) {
   EXPECT_EQ((*store)->num_blobs(), kThreads * kKeysPerThread);
 }
 
-TEST(BlockStoreTest, InvalidConfigRejected) {
-  EXPECT_FALSE(BlockStore::Open(TempDir("bad1"), 0, 64).ok());
-  EXPECT_FALSE(BlockStore::Open(TempDir("bad2"), 2, 0).ok());
+TEST_F(BlockStoreTest, InvalidConfigRejected) {
+  EXPECT_FALSE(BlockStore::Open(tmp.path(), 0, 64).ok());
+  EXPECT_FALSE(BlockStore::Open(tmp.path(), 2, 0).ok());
 }
 
-TEST(BlockStoreTest, ByteCountersTrackSuccessfulOps) {
-  auto store = BlockStore::Open(TempDir("bytes"), 2, 64);
+TEST_F(BlockStoreTest, ByteCountersTrackSuccessfulOps) {
+  auto store = BlockStore::Open(tmp.path(), 2, 64);
   ASSERT_TRUE(store.ok());
   EXPECT_EQ((*store)->total_bytes_read(), 0);
   EXPECT_EQ((*store)->total_bytes_written(), 0);
@@ -188,118 +184,116 @@ TEST(BlockStoreTest, ByteCountersTrackSuccessfulOps) {
   EXPECT_EQ((*store)->total_bytes_written(), 500);
 }
 
-// ---------- TierCache counters / engine-facing probes ----------
+// ---------- TierCache ----------
 
 TEST(TierCacheTest, CountersReconcileWithStoreTraffic) {
-  auto store = BlockStore::Open(TempDir("tc_recon"), 2, 64);
+  // The cache owns no store leg: its caller probes, reads the store on
+  // a miss and promotes the result — the transfer engine's read path.
+  const ScopedTempDir tmp("store");
+  auto store = BlockStore::Open(tmp.path(), 2, 64);
   ASSERT_TRUE(store.ok());
-  TierCache cache(store->get(), 1 << 20);
-  std::vector<uint8_t> data(400, 0x11);
-  std::vector<uint8_t> out(400);
+  TierCache cache(1 << 20);
   int64_t issued_read_bytes = 0;
-  ASSERT_TRUE(cache.Put("a", data.data(), 400).ok());
-  ASSERT_TRUE(cache.Put("b", data.data(), 400).ok());
-  ASSERT_TRUE(cache.Get("a", out.data(), 400).ok());  // hit
-  issued_read_bytes += 400;
+  auto read = [&](const std::string& key) {
+    issued_read_bytes += 400;
+    Buffer out;
+    if (cache.TryGetRef(key, 400, &out)) return;
+    out = Buffer::Allocate(400);
+    ASSERT_TRUE((*store)->Get(key, out.mutable_data(), 400).ok());
+    cache.AdmitBuffer(key, out);
+  };
+  const Buffer data = Buffer::Allocate(400);
+  for (const char* key : {"a", "b"}) {
+    ASSERT_TRUE((*store)->Put(key, data.data(), 400).ok());
+    cache.AdmitBuffer(key, data);
+  }
+  read("a");  // hit
   cache.Invalidate("b");
-  ASSERT_TRUE(cache.Get("b", out.data(), 400).ok());  // miss -> store
-  issued_read_bytes += 400;
-  ASSERT_TRUE(cache.Get("b", out.data(), 400).ok());  // promoted: hit
-  issued_read_bytes += 400;
+  read("b");  // miss -> store
+  read("b");  // promoted: hit
   const TierCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.hits, 2);
   EXPECT_EQ(stats.misses, 1);
   // Reconciliation invariants: hit + miss bytes cover every issued
-  // read; when all reads go through the cache, the store served
-  // exactly the miss bytes.
+  // read; the store served exactly the miss bytes.
   EXPECT_EQ(stats.hit_bytes + stats.miss_bytes, issued_read_bytes);
   EXPECT_EQ(stats.miss_bytes, (*store)->total_bytes_read());
   EXPECT_EQ(stats.hit_bytes, 2 * 400);
 }
 
 TEST(TierCacheTest, TryGetProbesWithoutStoreIo) {
-  auto store = BlockStore::Open(TempDir("tc_try"), 2, 64);
-  ASSERT_TRUE(store.ok());
-  TierCache cache(store->get(), 1 << 20);
-  std::vector<uint8_t> data(128, 0x77);
-  // Blob only in the store: TryGet must miss and must NOT touch it.
-  ASSERT_TRUE((*store)->Put("cold", data.data(), 128).ok());
-  std::vector<uint8_t> out(128, 0);
-  EXPECT_FALSE(cache.TryGet("cold", out.data(), 128));
-  EXPECT_EQ((*store)->total_bytes_read(), 0);
+  TierCache cache(1 << 20);
+  const Buffer data = Buffer::Allocate(128);
+  // Never admitted: the probe misses and counts the miss.
+  Buffer out;
+  EXPECT_FALSE(cache.TryGetRef("cold", 128, &out));
+  EXPECT_TRUE(out.empty());
   EXPECT_EQ(cache.stats().misses, 1);
   EXPECT_EQ(cache.stats().miss_bytes, 128);
-  // Admit inserts the DRAM copy without writing the store.
-  const int64_t written_before = (*store)->total_bytes_written();
-  cache.Admit("cold", data.data(), 128);
-  EXPECT_EQ((*store)->total_bytes_written(), written_before);
-  EXPECT_TRUE(cache.TryGet("cold", out.data(), 128));
-  EXPECT_EQ(out, data);
-  EXPECT_EQ((*store)->total_bytes_read(), 0);  // hit: still no store I/O
+  cache.AdmitBuffer("cold", data);
+  EXPECT_TRUE(cache.TryGetRef("cold", 128, &out));
+  EXPECT_EQ(out.data(), data.data());  // a ref to the admitted bytes
   EXPECT_EQ(cache.stats().hits, 1);
   EXPECT_EQ(cache.stats().hit_bytes, 128);
   // A size mismatch is a miss, not an error.
-  EXPECT_FALSE(cache.TryGet("cold", out.data(), 64));
+  Buffer wrong;
+  EXPECT_FALSE(cache.TryGetRef("cold", 64, &wrong));
 }
 
 TEST(TierCacheTest, PinnedEntriesSurviveEvictionPressure) {
-  auto store = BlockStore::Open(TempDir("tc_pin"), 2, 64);
-  ASSERT_TRUE(store.ok());
-  TierCache cache(store->get(), 1024);  // fits ~2 entries of 400 B
-  std::vector<uint8_t> data(400, 0x33);
-  cache.Admit("pinned", data.data(), 400);
+  TierCache cache(1024);  // fits ~2 entries of 400 B
+  const Buffer data = Buffer::Allocate(400);
+  cache.AdmitBuffer("pinned", data);
   ASSERT_TRUE(cache.Pin("pinned"));
   EXPECT_EQ(cache.stats().pinned_bytes, 400);
   // Flood the tier: the unpinned entries churn, the pinned one stays.
   for (int i = 0; i < 8; ++i) {
-    cache.Admit("churn" + std::to_string(i), data.data(), 400);
+    cache.AdmitBuffer("churn" + std::to_string(i), Buffer::Allocate(400));
   }
-  std::vector<uint8_t> out(400);
-  EXPECT_TRUE(cache.TryGet("pinned", out.data(), 400));
-  EXPECT_EQ(out, data);
+  Buffer out;
+  EXPECT_TRUE(cache.TryGetRef("pinned", 400, &out));
+  EXPECT_EQ(out.data(), data.data());
   EXPECT_GT(cache.stats().evictions, 0);
   // Unpinned, it is evictable again (LRU order: push it to the back by
   // admitting fresh entries).
   cache.Unpin("pinned");
   EXPECT_EQ(cache.stats().pinned_bytes, 0);
   for (int i = 0; i < 8; ++i) {
-    cache.Admit("churn2_" + std::to_string(i), data.data(), 400);
+    cache.AdmitBuffer("churn2_" + std::to_string(i), Buffer::Allocate(400));
   }
-  EXPECT_FALSE(cache.TryGet("pinned", out.data(), 400));
+  EXPECT_FALSE(cache.TryGetRef("pinned", 400, &out));
 }
 
 TEST(TierCacheTest, PinContractEdges) {
-  auto store = BlockStore::Open(TempDir("tc_pin2"), 2, 64);
-  ASSERT_TRUE(store.ok());
-  TierCache cache(store->get(), 512);
-  std::vector<uint8_t> v1(200, 0x01), v2(200, 0x02), big(600, 0x09);
+  TierCache cache(512);
+  const Buffer v1 = Buffer::Allocate(200), v2 = Buffer::Allocate(200);
   // Pin of a non-resident key fails (never admitted / oversized).
   EXPECT_FALSE(cache.Pin("absent"));
-  cache.Admit("huge", big.data(), 600);  // larger than the tier
+  cache.AdmitBuffer("huge", Buffer::Allocate(600));  // larger than the tier
   EXPECT_FALSE(cache.Pin("huge"));
   // Overwriting a pinned key keeps the pin on the fresher value.
-  cache.Admit("k", v1.data(), 200);
+  cache.AdmitBuffer("k", v1);
   ASSERT_TRUE(cache.Pin("k"));
-  cache.Admit("k", v2.data(), 200);
-  std::vector<uint8_t> out(200);
+  cache.AdmitBuffer("k", v2);
   for (int i = 0; i < 8; ++i) {
-    cache.Admit("fill" + std::to_string(i), v1.data(), 200);
+    cache.AdmitBuffer("fill" + std::to_string(i), Buffer::Allocate(200));
   }
-  ASSERT_TRUE(cache.TryGet("k", out.data(), 200));
-  EXPECT_EQ(out, v2);
+  Buffer out;
+  ASSERT_TRUE(cache.TryGetRef("k", 200, &out));
+  EXPECT_EQ(out.data(), v2.data());
   EXPECT_EQ(cache.stats().pinned_bytes, 200);
   // Pins nest: one Unpin leaves the entry pinned.
   ASSERT_TRUE(cache.Pin("k"));
   cache.Unpin("k");
   for (int i = 0; i < 8; ++i) {
-    cache.Admit("fill2_" + std::to_string(i), v1.data(), 200);
+    cache.AdmitBuffer("fill2_" + std::to_string(i), Buffer::Allocate(200));
   }
-  EXPECT_TRUE(cache.TryGet("k", out.data(), 200));
+  EXPECT_TRUE(cache.TryGetRef("k", 200, &out));
   // Invalidate drops even a pinned entry (a Delete supersedes the pin);
   // the late Unpin is a harmless no-op.
   cache.Invalidate("k");
   EXPECT_EQ(cache.stats().pinned_bytes, 0);
-  EXPECT_FALSE(cache.TryGet("k", out.data(), 200));
+  EXPECT_FALSE(cache.TryGetRef("k", 200, &out));
   cache.Unpin("k");
 }
 

@@ -1,7 +1,6 @@
 #include "core/profile_io.h"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
@@ -13,16 +12,13 @@
 #include "core/activation_planner.h"
 #include "hw/catalog.h"
 #include "model/transformer_config.h"
+#include "tests/scoped_temp_dir.h"
 
 namespace ratel {
 namespace {
 
-std::string TempPath(const std::string& tag) {
-  return ::testing::TempDir() + "/ratel_prof_" + tag + "_" +
-         std::to_string(::getpid());
-}
-
-TEST(ProfileIoTest, SaveLoadRoundTrip) {
+using ProfileIoTest = TempDirTest;
+TEST_F(ProfileIoTest, SaveLoadRoundTrip) {
   auto cfg = LlmFromTableIV("13B");
   ASSERT_TRUE(cfg.ok());
   const WorkloadProfile wl = WorkloadProfile::Build(*cfg, 32);
@@ -31,7 +27,7 @@ TEST(ProfileIoTest, SaveLoadRoundTrip) {
   auto hw = HardwareProfiler(server).Profile(wl);
   ASSERT_TRUE(hw.ok());
 
-  const std::string path = TempPath("roundtrip.prf");
+  const std::string path = tmp.Sub("roundtrip.prf");
   ASSERT_TRUE(profile_io::Save(*hw, path).ok());
   auto loaded = profile_io::Load(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -48,7 +44,7 @@ TEST(ProfileIoTest, SaveLoadRoundTrip) {
   EXPECT_EQ(loaded->layer_forward_seconds, hw->layer_forward_seconds);
 }
 
-TEST(ProfileIoTest, LoadedProfileDrivesThePlannerIdentically) {
+TEST_F(ProfileIoTest, LoadedProfileDrivesThePlannerIdentically) {
   auto cfg = LlmFromTableIV("6B");
   ASSERT_TRUE(cfg.ok());
   const WorkloadProfile wl = WorkloadProfile::Build(*cfg, 16);
@@ -56,7 +52,7 @@ TEST(ProfileIoTest, LoadedProfileDrivesThePlannerIdentically) {
       catalog::EvaluationServer(catalog::Rtx4090(), 256 * kGiB, 6);
   auto hw = HardwareProfiler(server).Profile(wl);
   ASSERT_TRUE(hw.ok());
-  const std::string path = TempPath("planner.prf");
+  const std::string path = tmp.Sub("planner.prf");
   ASSERT_TRUE(profile_io::Save(*hw, path).ok());
   auto loaded = profile_io::Load(path);
   ASSERT_TRUE(loaded.ok());
@@ -68,7 +64,7 @@ TEST(ProfileIoTest, LoadedProfileDrivesThePlannerIdentically) {
   EXPECT_DOUBLE_EQ(pa.predicted_iter_time, pb.predicted_iter_time);
 }
 
-TEST(ProfileIoTest, CalibrationFieldsRoundTripInV2) {
+TEST_F(ProfileIoTest, CalibrationFieldsRoundTripInV2) {
   // The v2 extension carries the replanner's provenance: observed
   // activation compression and the window count the calibration was
   // drawn from. Both must survive the round trip exactly.
@@ -87,7 +83,7 @@ TEST(ProfileIoTest, CalibrationFieldsRoundTripInV2) {
   hw.calibration_windows = 42;
   hw.layer_forward_seconds = {0.01, 0.02, 0.03};
 
-  const std::string path = TempPath("calibrated.prf");
+  const std::string path = tmp.Sub("calibrated.prf");
   ASSERT_TRUE(profile_io::Save(hw, path).ok());
   auto loaded = profile_io::Load(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -97,7 +93,7 @@ TEST(ProfileIoTest, CalibrationFieldsRoundTripInV2) {
   EXPECT_EQ(loaded->layer_forward_seconds, hw.layer_forward_seconds);
 }
 
-TEST(ProfileIoTest, V1FileLoadsWithDefaultCalibration) {
+TEST_F(ProfileIoTest, V1FileLoadsWithDefaultCalibration) {
   // Back-compat: a pre-calibration (v1) file — magic, version 1, the
   // scalar payload, then layer times, with *no* calibration payload —
   // must load with the nameplate defaults (ratio 1.0, zero windows).
@@ -109,7 +105,7 @@ TEST(ProfileIoTest, V1FileLoadsWithDefaultCalibration) {
     double t_f, t_b;
   };
   static_assert(sizeof(V1Scalars) == 80, "v1 payload layout drifted");
-  const std::string path = TempPath("v1.prf");
+  const std::string path = tmp.Sub("v1.prf");
   {
     std::FILE* f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);
@@ -135,8 +131,8 @@ TEST(ProfileIoTest, V1FileLoadsWithDefaultCalibration) {
   EXPECT_EQ(loaded->calibration_windows, 0);
 }
 
-TEST(ProfileIoTest, FutureVersionIsRejectedLoudly) {
-  const std::string path = TempPath("v3.prf");
+TEST_F(ProfileIoTest, FutureVersionIsRejectedLoudly) {
+  const std::string path = tmp.Sub("v3.prf");
   {
     std::FILE* f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);
@@ -151,7 +147,7 @@ TEST(ProfileIoTest, FutureVersionIsRejectedLoudly) {
   EXPECT_NE(loaded.status().message().find("version"), std::string::npos);
 }
 
-TEST(ProfileIoTest, CorruptCalibrationPayloadIsRejected) {
+TEST_F(ProfileIoTest, CorruptCalibrationPayloadIsRejected) {
   // Save a valid v2 file, then stomp the calibration payload in place:
   // a non-positive compression ratio (offset 92: magic 8 + version 4 +
   // scalars 80) and, separately, a negative window count (offset 100)
@@ -162,7 +158,7 @@ TEST(ProfileIoTest, CorruptCalibrationPayloadIsRejected) {
        std::vector<std::pair<long, std::string>>{{92, "compression"},
                                                  {100, "windows"}}) {
     SCOPED_TRACE(name);
-    const std::string path = TempPath("corrupt_" + name + ".prf");
+    const std::string path = tmp.Sub("corrupt_" + name + ".prf");
     ASSERT_TRUE(profile_io::Save(hw, path).ok());
     {
       std::fstream f(path,
@@ -185,10 +181,10 @@ TEST(ProfileIoTest, CorruptCalibrationPayloadIsRejected) {
   }
 }
 
-TEST(ProfileIoTest, RejectsGarbage) {
-  EXPECT_EQ(profile_io::Load(TempPath("missing")).status().code(),
+TEST_F(ProfileIoTest, RejectsGarbage) {
+  EXPECT_EQ(profile_io::Load(tmp.Sub("missing")).status().code(),
             StatusCode::kNotFound);
-  const std::string path = TempPath("garbage.prf");
+  const std::string path = tmp.Sub("garbage.prf");
   {
     std::FILE* f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);

@@ -3,7 +3,6 @@
 // swept across the full Table IV model grid.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <array>
 #include <cmath>
@@ -30,6 +29,7 @@
 #include "storage/io_scheduler.h"
 #include "xfer/codec.h"
 #include "xfer/transfer_engine.h"
+#include "tests/scoped_temp_dir.h"
 
 namespace ratel {
 namespace {
@@ -646,9 +646,9 @@ TEST(CodecPropertyTest, CompressionRatioStatsReconcileExactly) {
   // ratio * encoded bytes must equal logical bytes *exactly* (the ratio
   // is defined as their quotient, never sampled), and the per-flow
   // encoded totals must sum to the store totals byte-for-byte.
+  const ScopedTempDir tmp("codec_prop");
   TransferOptions opts;
-  opts.dir = ::testing::TempDir() + "/ratel_codec_prop_" +
-             std::to_string(::getpid());
+  opts.dir = tmp.path();
   opts.num_stripes = 4;
   opts.chunk_bytes = 4096;
   opts.codec.spec(FlowClass::kActivationSpill) = "fp16";

@@ -17,7 +17,6 @@
 #include "core/replanner.h"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -40,14 +39,10 @@
 #include "storage/fault_injector.h"
 #include "xfer/flow_window.h"
 #include "xfer/transfer_engine.h"
+#include "tests/scoped_temp_dir.h"
 
 namespace ratel {
 namespace {
-
-std::string TempDir(const std::string& tag) {
-  return ::testing::TempDir() + "/ratel_replan_" + tag + "_" +
-         std::to_string(::getpid());
-}
 
 // ---------- FlowObserver: windows reconcile against the counters ----------
 
@@ -191,13 +186,14 @@ TEST(FlowObserverTest, AdvanceBeforeStartOpensTheEpoch) {
 }
 
 TEST(FlowObserverTest, ReconciliationHoldsUnderConcurrentEngineTraffic) {
+  const ScopedTempDir tmp("replan");
   // Three threads hammer distinct flows through a live engine while the
   // observer closes windows at arbitrary moments in between — exactly
   // the trainer's step-boundary pattern racing the I/O workers. After
   // the dust settles, every flow's dropped-base + ring must equal the
   // cumulative counter delta: no lost bytes, no double counting.
   TransferOptions opts;
-  opts.dir = TempDir("obs_conc");
+  opts.dir = tmp.Sub("obs_conc");
   opts.num_stripes = 4;
   opts.chunk_bytes = 4096;
   opts.io_workers = 4;
@@ -473,14 +469,15 @@ TEST(FaultInjectorTest, KillStripeFailsWritesRegardlessOfFlowMask) {
   EXPECT_EQ(injector.counts().stripe_write_failures, 2);
 }
 
-TEST(TransferEngineTest, StripeDeathRescalesThrottledChannels) {
+using TransferEngineTest = TempDirTest;
+TEST_F(TransferEngineTest, StripeDeathRescalesThrottledChannels) {
   // RAID-0 physics: losing 1 of 4 devices loses a quarter of the
   // array's lanes, so both throttled channels re-rate to 0.75x once the
   // store declares the stripe dead.
   const double kBw = 8.0 * (1 << 20);
   FaultInjector injector{FaultConfig{}};
   TransferOptions opts;
-  opts.dir = TempDir("degrade");
+  opts.dir = tmp.Sub("degrade");
   opts.num_stripes = 4;
   opts.chunk_bytes = 4096;
   opts.read_bandwidth = kBw;
@@ -514,7 +511,7 @@ TEST(TransferEngineTest, StripeDeathRescalesThrottledChannels) {
   EXPECT_DOUBLE_EQ((*engine)->current_write_bandwidth(), kBw * 0.75);
 }
 
-TEST(TransferEngineTest, StoreBusyTimeExcludesQueueWait) {
+TEST_F(TransferEngineTest, StoreBusyTimeExcludesQueueWait) {
   // The replanner's bandwidth sample is store bytes per busy second. A
   // burst of writes queued at once on a throttled channel must read
   // close to the channel's rate that way, while bytes per summed
@@ -522,7 +519,7 @@ TEST(TransferEngineTest, StoreBusyTimeExcludesQueueWait) {
   // wait — reads a fraction of it.
   const double kBw = 4.0 * (1 << 20);
   TransferOptions opts;
-  opts.dir = TempDir("busy");
+  opts.dir = tmp.Sub("busy");
   opts.write_bandwidth = kBw;
   auto engine = TransferEngine::Open(opts);
   ASSERT_TRUE(engine.ok());
@@ -548,11 +545,11 @@ TEST(TransferEngineTest, StoreBusyTimeExcludesQueueWait) {
   EXPECT_EQ(stats.store_read_busy_seconds, 0.0);  // no read was served
 }
 
-TEST(TransferEngineTest, DegradeKnobOffKeepsNameplateBandwidth) {
+TEST_F(TransferEngineTest, DegradeKnobOffKeepsNameplateBandwidth) {
   const double kBw = 8.0 * (1 << 20);
   FaultInjector injector{FaultConfig{}};
   TransferOptions opts;
-  opts.dir = TempDir("no_degrade");
+  opts.dir = tmp.Sub("no_degrade");
   opts.num_stripes = 4;
   opts.chunk_bytes = 4096;
   opts.read_bandwidth = kBw;
@@ -603,7 +600,8 @@ std::vector<float> RunTrainer(RatelTrainer* trainer,
   return losses;
 }
 
-TEST(ReplanTrainerTest, ArmedButQuietLoopIsBitwiseIdenticalToDisabled) {
+using ReplanTrainerTest = TempDirTest;
+TEST_F(ReplanTrainerTest, ArmedButQuietLoopIsBitwiseIdenticalToDisabled) {
   // The armed-but-never-firing loop must be a pure observer: with the
   // trigger out of reach, every per-step loss matches the disabled
   // trainer bit for bit even though the replanner's initial plan (and
@@ -613,7 +611,7 @@ TEST(ReplanTrainerTest, ArmedButQuietLoopIsBitwiseIdenticalToDisabled) {
 
   ag::TinyGpt model_a(TinyConfig(), 71);
   TrainerOptions opts_a;
-  opts_a.store_dir = TempDir("quiet_a");
+  opts_a.store_dir = tmp.Sub("quiet_a");
   opts_a.spill_activations = true;
   auto trainer_a = RatelTrainer::Create(&model_a, opts_a);
   ASSERT_TRUE(trainer_a.ok());
@@ -621,7 +619,7 @@ TEST(ReplanTrainerTest, ArmedButQuietLoopIsBitwiseIdenticalToDisabled) {
 
   ag::TinyGpt model_b(TinyConfig(), 71);
   TrainerOptions opts_b = opts_a;
-  opts_b.store_dir = TempDir("quiet_b");
+  opts_b.store_dir = tmp.Sub("quiet_b");
   opts_b.replan.enabled = true;
   opts_b.replan.deviation_threshold = 1e9;  // unreachable: never fires
   auto trainer_b = RatelTrainer::Create(&model_b, opts_b);
@@ -640,7 +638,7 @@ TEST(ReplanTrainerTest, ArmedButQuietLoopIsBitwiseIdenticalToDisabled) {
   EXPECT_GT((*trainer_b)->replanner()->observation().windows, 0);
 }
 
-TEST(ReplanTrainerTest, MidRunStripeDeathReplansAndStaysLossEquivalent) {
+TEST_F(ReplanTrainerTest, MidRunStripeDeathReplansAndStaysLossEquivalent) {
   // The full loop under fire: stripes wear out mid-run while the async
   // optimizer holds pending deferred epochs across the step boundary
   // and the prefetcher issues gated reads. The replanner must observe
@@ -659,7 +657,7 @@ TEST(ReplanTrainerTest, MidRunStripeDeathReplansAndStaysLossEquivalent) {
 
   ag::TinyGpt model_a(TinyConfig(), 72);
   TrainerOptions opts_a = common;
-  opts_a.store_dir = TempDir("fire_a");
+  opts_a.store_dir = tmp.Sub("fire_a");
   auto trainer_a = RatelTrainer::Create(&model_a, opts_a);
   ASSERT_TRUE(trainer_a.ok());
   const auto losses_a = RunTrainer(trainer_a->get(), batches, kBatch);
@@ -667,7 +665,7 @@ TEST(ReplanTrainerTest, MidRunStripeDeathReplansAndStaysLossEquivalent) {
   ag::TinyGpt model_b(TinyConfig(), 72);
   FaultInjector injector{FaultConfig{}};
   TrainerOptions opts_b = common;
-  opts_b.store_dir = TempDir("fire_b");
+  opts_b.store_dir = tmp.Sub("fire_b");
   // Throttle slow enough that the deterministic bandwidth sleeps
   // dominate service latency even under sanitizer + parallel-ctest
   // load — otherwise scheduler jitter can out-shout the physical
@@ -727,7 +725,7 @@ TEST(ReplanTrainerTest, MidRunStripeDeathReplansAndStaysLossEquivalent) {
   EXPECT_LT(calibrated.bw_m2s, kBw);
 }
 
-TEST(ReplanTrainerTest, PartialSpillSetIsLossEquivalentToSpillEverything) {
+TEST_F(ReplanTrainerTest, PartialSpillSetIsLossEquivalentToSpillEverything) {
   // With the SSD nameplate rates tiny, Algorithm 1 swaps only the
   // inter-block minimum — the installed schedule carries a *partial*
   // spill set. The partial path must move strictly fewer activation
@@ -739,7 +737,7 @@ TEST(ReplanTrainerTest, PartialSpillSetIsLossEquivalentToSpillEverything) {
 
   ag::TinyGpt model_a(TinyConfig(), 73);
   TrainerOptions opts_a;
-  opts_a.store_dir = TempDir("partial_a");
+  opts_a.store_dir = tmp.Sub("partial_a");
   opts_a.spill_activations = true;
   opts_a.ssd_read_bandwidth = kBw;
   opts_a.ssd_write_bandwidth = kBw;
@@ -753,7 +751,7 @@ TEST(ReplanTrainerTest, PartialSpillSetIsLossEquivalentToSpillEverything) {
 
   ag::TinyGpt model_b(TinyConfig(), 73);
   TrainerOptions opts_b = opts_a;
-  opts_b.store_dir = TempDir("partial_b");
+  opts_b.store_dir = tmp.Sub("partial_b");
   opts_b.replan.enabled = true;
   opts_b.replan.deviation_threshold = 1e9;  // initial plan only, no solves
   auto trainer_b = RatelTrainer::Create(&model_b, opts_b);
@@ -778,12 +776,12 @@ TEST(ReplanTrainerTest, PartialSpillSetIsLossEquivalentToSpillEverything) {
   }
 }
 
-TEST(ReplanTrainerTest, EnvKnobsArmTheLoopOnAnUnmodifiedTrainer) {
+TEST_F(ReplanTrainerTest, EnvKnobsArmTheLoopOnAnUnmodifiedTrainer) {
   ::setenv("RATEL_REPLAN", "1", 1);
   ::setenv("RATEL_REPLAN_THRESHOLD_PCT", "1000000", 1);  // observer-only
   ag::TinyGpt model(TinyConfig(), 74);
   TrainerOptions opts;  // replan left at its disabled default
-  opts.store_dir = TempDir("env_arm");
+  opts.store_dir = tmp.Sub("env_arm");
   opts.spill_activations = true;
   auto trainer = RatelTrainer::Create(&model, opts);
   ::unsetenv("RATEL_REPLAN");

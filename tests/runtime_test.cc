@@ -1,5 +1,4 @@
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -16,18 +15,14 @@
 #include "runtime/async_update_engine.h"
 #include "runtime/ratel_trainer.h"
 #include "runtime/thread_pool.h"
+#include "tests/scoped_temp_dir.h"
 
 namespace ratel {
 namespace {
 
-std::string TempDir(const std::string& tag) {
-  return ::testing::TempDir() + "/ratel_rt_" + tag + "_" +
-         std::to_string(::getpid());
-}
-
-Result<std::unique_ptr<TransferEngine>> OpenEngine(const std::string& tag) {
+Result<std::unique_ptr<TransferEngine>> OpenEngine(const std::string& dir) {
   TransferOptions opts;
-  opts.dir = TempDir(tag);
+  opts.dir = dir;
   opts.num_stripes = 2;
   opts.chunk_bytes = 4096;
   return TransferEngine::Open(opts);
@@ -164,8 +159,9 @@ TEST(TaskGroupTest, WaitCoversOnlyThisGroupsTasks) {
 
 // ---------- AsyncUpdateEngine ----------
 
-TEST(OutOfCoreAdamTest, MatchesInMemoryChunkedAdam) {
-  auto engine = OpenEngine("ooc");
+using OutOfCoreAdamTest = TempDirTest;
+TEST_F(OutOfCoreAdamTest, MatchesInMemoryChunkedAdam) {
+  auto engine = OpenEngine(tmp.Sub("ooc"));
   ASSERT_TRUE(engine.ok());
   AdamConfig cfg;
   cfg.lr = 1e-2;
@@ -195,11 +191,11 @@ TEST(OutOfCoreAdamTest, MatchesInMemoryChunkedAdam) {
   }
 }
 
-TEST(OutOfCoreAdamTest, P16CopyTracksMaster) {
+TEST_F(OutOfCoreAdamTest, P16CopyTracksMaster) {
   // No fp16 copy is stored: consumers narrow P32 themselves. So the
   // stored P32 must be bitwise the in-memory reference's, and its
   // narrowing bitwise the fp16 copy the reference's fused kernel emits.
-  auto engine = OpenEngine("p16");
+  auto engine = OpenEngine(tmp.Sub("p16"));
   ASSERT_TRUE(engine.ok());
   AsyncUpdateEngine ooc(AdamConfig{}, engine->get());
   ChunkedCpuAdam ram(AdamConfig{});
@@ -224,8 +220,8 @@ TEST(OutOfCoreAdamTest, P16CopyTracksMaster) {
   EXPECT_NE(master[0], 0.25f);  // the step really moved the weight
 }
 
-TEST(OutOfCoreAdamTest, TrafficAccountingMatchesTableII) {
-  auto engine = OpenEngine("traffic");
+TEST_F(OutOfCoreAdamTest, TrafficAccountingMatchesTableII) {
+  auto engine = OpenEngine(tmp.Sub("traffic"));
   ASSERT_TRUE(engine.ok());
   AsyncUpdateEngine ooc(AdamConfig{}, engine->get());
   constexpr int64_t kN = 1000;
@@ -255,8 +251,8 @@ TEST(OutOfCoreAdamTest, TrafficAccountingMatchesTableII) {
   EXPECT_EQ(fetched.TotalBytesRead(), fetched.store_bytes_read);
 }
 
-TEST(OutOfCoreAdamTest, ErrorsSurface) {
-  auto engine = OpenEngine("err");
+TEST_F(OutOfCoreAdamTest, ErrorsSurface) {
+  auto engine = OpenEngine(tmp.Sub("err"));
   ASSERT_TRUE(engine.ok());
   AsyncUpdateEngine ooc(AdamConfig{}, engine->get());
   ASSERT_TRUE(ooc.Register("w", {1.0f}).ok());
@@ -289,10 +285,11 @@ void MakeBatch(Rng& rng, int64_t n, int64_t vocab, std::vector<int64_t>* ids,
   }
 }
 
-TEST(RatelTrainerTest, LossDecreasesOverSteps) {
+using RatelTrainerTest = TempDirTest;
+TEST_F(RatelTrainerTest, LossDecreasesOverSteps) {
   ag::TinyGpt model(SmallConfig(), 11);
   TrainerOptions opts;
-  opts.store_dir = TempDir("train");
+  opts.store_dir = tmp.Sub("train");
   opts.adam.lr = 3e-3;
   auto trainer = RatelTrainer::Create(&model, opts);
   ASSERT_TRUE(trainer.ok()) << trainer.status().ToString();
@@ -310,7 +307,7 @@ TEST(RatelTrainerTest, LossDecreasesOverSteps) {
   EXPECT_LT(last, first * 0.8f) << first << " -> " << last;
 }
 
-TEST(RatelTrainerTest, GradModesConvergeToSameParameters) {
+TEST_F(RatelTrainerTest, GradModesConvergeToSameParameters) {
   // The three offloading pipelines must be numerically identical: the
   // schedule changes, the math does not.
   std::vector<std::vector<float>> finals;
@@ -321,7 +318,7 @@ TEST(RatelTrainerTest, GradModesConvergeToSameParameters) {
     ag::TinyGpt model(SmallConfig(), 22);
     TrainerOptions opts;
     opts.grad_mode = mode;
-    opts.store_dir = TempDir("mode" + std::to_string(static_cast<int>(mode)));
+    opts.store_dir = tmp.Sub("mode" + std::to_string(static_cast<int>(mode)));
     auto trainer = RatelTrainer::Create(&model, opts);
     ASSERT_TRUE(trainer.ok());
     Rng rng(7);
@@ -340,10 +337,10 @@ TEST(RatelTrainerTest, GradModesConvergeToSameParameters) {
   EXPECT_EQ(finals[0], finals[2]);
 }
 
-TEST(RatelTrainerTest, StepStatsAccountTraffic) {
+TEST_F(RatelTrainerTest, StepStatsAccountTraffic) {
   ag::TinyGpt model(SmallConfig(), 33);
   TrainerOptions opts;
-  opts.store_dir = TempDir("stats");
+  opts.store_dir = tmp.Sub("stats");
   auto trainer = RatelTrainer::Create(&model, opts);
   ASSERT_TRUE(trainer.ok());
   Rng rng(9);
@@ -367,7 +364,7 @@ TEST(RatelTrainerTest, StepStatsAccountTraffic) {
   EXPECT_GE(s.total_s + 1e-9, s.fetch_s + s.compute_s + s.optimizer_s - 1e-6);
 }
 
-TEST(RatelTrainerTest, ForwardWeightsAreNarrowedMasterCopies) {
+TEST_F(RatelTrainerTest, ForwardWeightsAreNarrowedMasterCopies) {
   // No fp16 copy is stored: each step's fetch reads P32 and narrows it
   // on the host. The weights the forward pass ran on must be bitwise
   // HalfToFloat(FloatToHalf(master)) of the master copy at fetch time —
@@ -378,7 +375,7 @@ TEST(RatelTrainerTest, ForwardWeightsAreNarrowedMasterCopies) {
                    (cache_bytes > 0 ? " + DRAM tier" : " no tier"));
       ag::TinyGpt model(SmallConfig(), 35);
       TrainerOptions opts;
-      opts.store_dir = TempDir(std::string("narrow_") + (async ? "a" : "s") +
+      opts.store_dir = tmp.Sub(std::string("narrow_") + (async ? "a" : "s") +
                                (cache_bytes > 0 ? "c" : "n"));
       opts.host_cache_bytes = cache_bytes;
       opts.async_optimizer = async;
@@ -413,7 +410,7 @@ TEST(RatelTrainerTest, ForwardWeightsAreNarrowedMasterCopies) {
   }
 }
 
-TEST(RatelTrainerTest, ThrottledStoreFavorsOptimizedPipeline) {
+TEST_F(RatelTrainerTest, ThrottledStoreFavorsOptimizedPipeline) {
   // With a slow emulated SSD, the optimized pipeline (3 workers
   // overlapping handlers) beats the naive serial handler wall-clock:
   // with enough I/O workers to put the read and the write channel to
@@ -424,7 +421,7 @@ TEST(RatelTrainerTest, ThrottledStoreFavorsOptimizedPipeline) {
     ag::TinyGpt model(SmallConfig(), 44);
     TrainerOptions opts;
     opts.grad_mode = mode;
-    opts.store_dir = TempDir("thr" + std::to_string(static_cast<int>(mode)) +
+    opts.store_dir = tmp.Sub("thr" + std::to_string(static_cast<int>(mode)) +
                              "_" + std::to_string(trial));
     opts.ssd_read_bandwidth = 8e6;  // 8 MB/s emulated slow array
     opts.ssd_write_bandwidth = 8e6;

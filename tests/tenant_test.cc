@@ -3,7 +3,6 @@
 // and the TransferEngine's per-tenant accounting / in-flight quotas.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cstring>
@@ -20,14 +19,10 @@
 #include "storage/io_scheduler.h"
 #include "xfer/tenant.h"
 #include "xfer/transfer_engine.h"
+#include "tests/scoped_temp_dir.h"
 
 namespace ratel {
 namespace {
-
-std::string TempDir(const std::string& tag) {
-  return ::testing::TempDir() + "/ratel_tenant_" + tag + "_" +
-         std::to_string(::getpid());
-}
 
 // ---------- ScopedTenant ----------
 
@@ -136,14 +131,15 @@ TEST(FairQueueTest, OldestFrontAndPopOldestCrossLanes) {
 // provably busy; completion order == service order, deterministically.
 class TenantHarness {
  public:
-  explicit TenantHarness(const std::string& tag, IoScheduler::Tuning tuning) {
-    auto store_or = BlockStore::Open(TempDir(tag), 2, 4096,
+  explicit TenantHarness(const std::string& tag, IoScheduler::Tuning tuning)
+      : tmp_("tenant_" + tag) {
+    auto store_or = BlockStore::Open(tmp_.path(), 2, 4096,
                                      BlockStore::Tuning{&injector_, 3});
     EXPECT_TRUE(store_or.ok());
     store_ = std::move(store_or).value();
     sched_ = std::make_unique<IoScheduler>(store_.get(), 1, tuning);
     injector_.StallOpsOn("gate");
-    sched_->SubmitWrite("gate", byte_.data(), 1,
+    sched_->SubmitWrite("gate", Buffer::CopyOf(byte_.data(), 1),
                         IoScheduler::Priority::kLatencyCritical);
     injector_.WaitForStalled(1);
   }
@@ -151,7 +147,7 @@ class TenantHarness {
   void SubmitTenant(const std::string& key, int tenant,
                     IoScheduler::Priority priority =
                         IoScheduler::Priority::kBackground) {
-    sched_->SubmitWrite(key, byte_.data(), 1, priority,
+    sched_->SubmitWrite(key, Buffer::CopyOf(byte_.data(), 1), priority,
                         [this, key](const IoResult&) {
                           std::lock_guard<std::mutex> lock(mu_);
                           order_.push_back(key);
@@ -169,6 +165,7 @@ class TenantHarness {
   IoScheduler& sched() { return *sched_; }
 
  private:
+  const ScopedTempDir tmp_;
   FaultInjector injector_{FaultConfig{}};
   std::unique_ptr<BlockStore> store_;
   std::unique_ptr<IoScheduler> sched_;
@@ -261,53 +258,49 @@ TEST(IoSchedulerTenantTest, WeightsSkewServiceOrder) {
 // ---------- TierCache tenant quotas ----------
 
 TEST(TierCacheTenantTest, QuotaEvictsOwnEntriesOnly) {
-  auto store = BlockStore::Open(TempDir("quota"), 2, 4096);
-  ASSERT_TRUE(store.ok());
-  TierCache cache(store->get(), /*capacity_bytes=*/64 * 1024);
+  TierCache cache(/*capacity_bytes=*/64 * 1024);
   cache.SetTenantQuota(1, 2048);
-  std::vector<uint8_t> kb(1024, 0x5A);
+  const Buffer kb = Buffer::Allocate(1024);
 
-  cache.Admit("t2/a", kb.data(), kb.size(), /*tenant=*/2);
-  cache.Admit("t1/a", kb.data(), kb.size(), /*tenant=*/1);
-  cache.Admit("t1/b", kb.data(), kb.size(), /*tenant=*/1);
+  cache.AdmitBuffer("t2/a", kb, /*tenant=*/2);
+  cache.AdmitBuffer("t1/a", kb, /*tenant=*/1);
+  cache.AdmitBuffer("t1/b", kb, /*tenant=*/1);
   EXPECT_EQ(cache.TenantBytes(1), 2048);
 
   // A third admission breaches tenant 1's quota: its own LRU entry
   // (t1/a) goes; tenant 2's entry must survive untouched.
-  cache.Admit("t1/c", kb.data(), kb.size(), /*tenant=*/1);
+  cache.AdmitBuffer("t1/c", kb, /*tenant=*/1);
   EXPECT_EQ(cache.TenantBytes(1), 2048);
-  std::vector<uint8_t> out(1024);
-  EXPECT_FALSE(cache.TryGet("t1/a", out.data(), out.size()));
-  EXPECT_TRUE(cache.TryGet("t1/b", out.data(), out.size()));
-  EXPECT_TRUE(cache.TryGet("t1/c", out.data(), out.size()));
-  EXPECT_TRUE(cache.TryGet("t2/a", out.data(), out.size()));
+  Buffer out;
+  EXPECT_FALSE(cache.TryGetRef("t1/a", 1024, &out));
+  EXPECT_TRUE(cache.TryGetRef("t1/b", 1024, &out));
+  EXPECT_TRUE(cache.TryGetRef("t1/c", 1024, &out));
+  EXPECT_TRUE(cache.TryGetRef("t2/a", 1024, &out));
   EXPECT_EQ(cache.TenantBytes(2), 1024);
 }
 
 TEST(TierCacheTenantTest, UnquotaedTenantsShareCapacityAsBefore) {
-  auto store = BlockStore::Open(TempDir("noquota"), 2, 4096);
-  ASSERT_TRUE(store.ok());
-  TierCache cache(store->get(), /*capacity_bytes=*/4096);
-  std::vector<uint8_t> kb(1024, 0x11);
+  TierCache cache(/*capacity_bytes=*/4096);
+  const Buffer kb = Buffer::Allocate(1024);
   for (int i = 0; i < 6; ++i) {
-    cache.Admit("k" + std::to_string(i), kb.data(), kb.size(), i % 2);
+    cache.AdmitBuffer("k" + std::to_string(i), kb, i % 2);
   }
   // Plain capacity eviction: the two oldest entries are gone whatever
   // tenant they carried.
-  std::vector<uint8_t> out(1024);
-  EXPECT_FALSE(cache.TryGet("k0", out.data(), out.size()));
-  EXPECT_FALSE(cache.TryGet("k1", out.data(), out.size()));
+  Buffer out;
+  EXPECT_FALSE(cache.TryGetRef("k0", 1024, &out));
+  EXPECT_FALSE(cache.TryGetRef("k1", 1024, &out));
   for (int i = 2; i < 6; ++i) {
-    EXPECT_TRUE(cache.TryGet("k" + std::to_string(i), out.data(), out.size()));
+    EXPECT_TRUE(cache.TryGetRef("k" + std::to_string(i), 1024, &out));
   }
   EXPECT_EQ(cache.TenantBytes(0) + cache.TenantBytes(1), 4096);
 }
 
 // ---------- TransferEngine tenancy ----------
 
-TransferOptions EngineOptions(const std::string& tag) {
+TransferOptions EngineOptions(const std::string& dir) {
   TransferOptions options;
-  options.dir = TempDir(tag);
+  options.dir = dir;
   options.num_stripes = 2;
   options.chunk_bytes = 4096;
   options.io_workers = 2;
@@ -358,8 +351,9 @@ void ExpectCountersSum(const TransferStats& total,
   }
 }
 
-TEST(TransferEngineTenantTest, PerTenantAccountingReconcilesExactly) {
-  TransferOptions options = EngineOptions("recon");
+using TransferEngineTenantTest = TempDirTest;
+TEST_F(TransferEngineTenantTest, PerTenantAccountingReconcilesExactly) {
+  TransferOptions options = EngineOptions(tmp.path());
   options.host_cache_bytes = 64 * 1024;  // exercise hit/miss counters too
   auto engine_or = TransferEngine::Open(options);
   ASSERT_TRUE(engine_or.ok());
@@ -417,8 +411,8 @@ TEST(TransferEngineTenantTest, PerTenantAccountingReconcilesExactly) {
   EXPECT_GT(parts[2].Flow(FlowClass::kDeferredState).bytes_written, 0);
 }
 
-TEST(TransferEngineTenantTest, UnscopedTrafficIsTenantZero) {
-  auto engine_or = TransferEngine::Open(EngineOptions("t0"));
+TEST_F(TransferEngineTenantTest, UnscopedTrafficIsTenantZero) {
+  auto engine_or = TransferEngine::Open(EngineOptions(tmp.path()));
   ASSERT_TRUE(engine_or.ok());
   TransferEngine& engine = **engine_or;
   std::vector<uint8_t> blob(512, 0x7E);
@@ -430,8 +424,8 @@ TEST(TransferEngineTenantTest, UnscopedTrafficIsTenantZero) {
             static_cast<int64_t>(blob.size()));
 }
 
-TEST(TransferEngineTenantTest, InflightQuotaBackpressuresAndDrainsToZero) {
-  auto engine_or = TransferEngine::Open(EngineOptions("inflight"));
+TEST_F(TransferEngineTenantTest, InflightQuotaBackpressuresAndDrainsToZero) {
+  auto engine_or = TransferEngine::Open(EngineOptions(tmp.path()));
   ASSERT_TRUE(engine_or.ok());
   TransferEngine& engine = **engine_or;
   TenantConfig config;
@@ -455,10 +449,10 @@ TEST(TransferEngineTenantTest, InflightQuotaBackpressuresAndDrainsToZero) {
   }
 }
 
-TEST(TransferEngineTenantTest, OversizedRequestStillAdmittedWhenIdle) {
+TEST_F(TransferEngineTenantTest, OversizedRequestStillAdmittedWhenIdle) {
   // A single write larger than the whole in-flight quota must go
   // through once the tenant is idle instead of deadlocking.
-  auto engine_or = TransferEngine::Open(EngineOptions("oversize"));
+  auto engine_or = TransferEngine::Open(EngineOptions(tmp.path()));
   ASSERT_TRUE(engine_or.ok());
   TransferEngine& engine = **engine_or;
   TenantConfig config;
@@ -473,8 +467,8 @@ TEST(TransferEngineTenantTest, OversizedRequestStillAdmittedWhenIdle) {
   EXPECT_EQ(engine.tenant_inflight_bytes(1), 0);
 }
 
-TEST(TransferEngineTenantTest, DramQuotaKeepsNeighborsResident) {
-  TransferOptions options = EngineOptions("dramq");
+TEST_F(TransferEngineTenantTest, DramQuotaKeepsNeighborsResident) {
+  TransferOptions options = EngineOptions(tmp.path());
   options.host_cache_bytes = 64 * 1024;
   auto engine_or = TransferEngine::Open(options);
   ASSERT_TRUE(engine_or.ok());

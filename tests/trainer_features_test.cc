@@ -1,5 +1,4 @@
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
@@ -14,14 +13,10 @@
 #include "optim/cpu_adam.h"
 #include "runtime/dataset.h"
 #include "runtime/ratel_trainer.h"
+#include "tests/scoped_temp_dir.h"
 
 namespace ratel {
 namespace {
-
-std::string TempPath(const std::string& tag) {
-  return ::testing::TempDir() + "/ratel_tf_" + tag + "_" +
-         std::to_string(::getpid());
-}
 
 ag::TinyGptConfig SmallConfig() {
   ag::TinyGptConfig cfg;
@@ -35,10 +30,11 @@ ag::TinyGptConfig SmallConfig() {
 
 // ---------- Flow trace capture ----------
 
-TEST(FlowTraceTest, CapturesMonotonicPerFlowCounters) {
+using FlowTraceTest = TempDirTest;
+TEST_F(FlowTraceTest, CapturesMonotonicPerFlowCounters) {
   ag::TinyGpt model(SmallConfig(), 61);
   TrainerOptions opts;
-  opts.store_dir = TempPath("flowtrace");
+  opts.store_dir = tmp.Sub("flowtrace");
   opts.capture_flow_trace = true;
   opts.spill_activations = true;
   auto trainer = RatelTrainer::Create(&model, opts);
@@ -76,10 +72,10 @@ TEST(FlowTraceTest, CapturesMonotonicPerFlowCounters) {
   EXPECT_NE(json.find("xfer/param_fetch/bytes_read"), std::string::npos);
 }
 
-TEST(FlowTraceTest, DisabledByDefault) {
+TEST_F(FlowTraceTest, DisabledByDefault) {
   ag::TinyGpt model(SmallConfig(), 62);
   TrainerOptions opts;
-  opts.store_dir = TempPath("noflowtrace");
+  opts.store_dir = tmp.Sub("noflowtrace");
   auto trainer = RatelTrainer::Create(&model, opts);
   ASSERT_TRUE(trainer.ok());
   SyntheticDataset ds(SyntheticTask::kAffineMap, 32, 8, 12);
@@ -90,7 +86,8 @@ TEST(FlowTraceTest, DisabledByDefault) {
 
 // ---------- Gradient accumulation ----------
 
-TEST(GradAccumulationTest, MatchesSingleLargeBatch) {
+using GradAccumulationTest = TempDirTest;
+TEST_F(GradAccumulationTest, MatchesSingleLargeBatch) {
   // One step over batch 4 with accumulation 2 must match accumulation 1
   // bit-for-bit: the micro-batch losses are means over equal slices, so
   // averaged gradients coincide.
@@ -98,7 +95,7 @@ TEST(GradAccumulationTest, MatchesSingleLargeBatch) {
     ag::TinyGpt model(SmallConfig(), 55);
     TrainerOptions opts;
     opts.grad_accumulation_steps = accum;
-    opts.store_dir = TempPath("accum" + std::to_string(accum));
+    opts.store_dir = tmp.Sub("accum" + std::to_string(accum));
     auto trainer = RatelTrainer::Create(&model, opts);
     EXPECT_TRUE(trainer.ok());
     SyntheticDataset ds(SyntheticTask::kAffineMap, 32, 8, 12);
@@ -119,11 +116,11 @@ TEST(GradAccumulationTest, MatchesSingleLargeBatch) {
   }
 }
 
-TEST(GradAccumulationTest, RejectsIndivisibleBatch) {
+TEST_F(GradAccumulationTest, RejectsIndivisibleBatch) {
   ag::TinyGpt model(SmallConfig(), 56);
   TrainerOptions opts;
   opts.grad_accumulation_steps = 3;
-  opts.store_dir = TempPath("indivisible");
+  opts.store_dir = tmp.Sub("indivisible");
   auto trainer = RatelTrainer::Create(&model, opts);
   ASSERT_TRUE(trainer.ok());
   SyntheticDataset ds(SyntheticTask::kAffineMap, 32, 8, 12);
@@ -132,12 +129,12 @@ TEST(GradAccumulationTest, RejectsIndivisibleBatch) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(GradAccumulationTest, LossStillDecreases) {
+TEST_F(GradAccumulationTest, LossStillDecreases) {
   ag::TinyGpt model(SmallConfig(), 57);
   TrainerOptions opts;
   opts.grad_accumulation_steps = 2;
   opts.adam.lr = 3e-3;
-  opts.store_dir = TempPath("accum_train");
+  opts.store_dir = tmp.Sub("accum_train");
   auto trainer = RatelTrainer::Create(&model, opts);
   ASSERT_TRUE(trainer.ok());
   SyntheticDataset ds(SyntheticTask::kAffineMap, 32, 8, 13);
@@ -194,13 +191,14 @@ TEST(LossScalingTest, RescuesSubUnderflowGradients) {
 }
 
 TEST(LossScalingTest, TrainerScaledRunMatchesUnscaled) {
+  const ScopedTempDir tmp("tf");
   // With well-conditioned gradients, training with loss_scale 256 must
   // land near the unscaled run (scaling is numerically transparent).
   auto run = [&](float scale) {
     ag::TinyGpt model(SmallConfig(), 58);
     TrainerOptions opts;
     opts.loss_scale = scale;
-    opts.store_dir = TempPath("scale" + std::to_string(scale));
+    opts.store_dir = tmp.Sub("scale" + std::to_string(scale));
     auto trainer = RatelTrainer::Create(&model, opts);
     EXPECT_TRUE(trainer.ok());
     SyntheticDataset ds(SyntheticTask::kPairSum, 32, 8, 14);

@@ -1,7 +1,6 @@
 #include "xfer/transfer_engine.h"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <cstring>
@@ -11,20 +10,18 @@
 
 #include "common/fp16.h"
 #include "common/rng.h"
+#include "tests/scoped_temp_dir.h"
 
 namespace ratel {
 namespace {
 
-std::string TempDir(const std::string& tag) {
-  return ::testing::TempDir() + "/ratel_xfer_" + tag + "_" +
-         std::to_string(::getpid());
-}
+std::vector<uint8_t> Vec(const Buffer& b) { return {b.begin(), b.end()}; }
 
-Result<std::unique_ptr<TransferEngine>> OpenEngine(const std::string& tag,
+Result<std::unique_ptr<TransferEngine>> OpenEngine(const std::string& dir,
                                                    int64_t cache_bytes = 0,
                                                    int workers = 2) {
   TransferOptions opts;
-  opts.dir = TempDir(tag);
+  opts.dir = dir;
   opts.num_stripes = 2;
   opts.chunk_bytes = 4096;
   opts.host_cache_bytes = cache_bytes;
@@ -32,7 +29,8 @@ Result<std::unique_ptr<TransferEngine>> OpenEngine(const std::string& tag,
   return TransferEngine::Open(opts);
 }
 
-TEST(TransferEngineTest, FlowClassMetadata) {
+using TransferEngineTest = TempDirTest;
+TEST_F(TransferEngineTest, FlowClassMetadata) {
   EXPECT_EQ(kNumFlowClasses, 5);
   EXPECT_STREQ(FlowClassName(FlowClass::kParamFetch), "param_fetch");
   EXPECT_STREQ(FlowClassName(FlowClass::kGradState), "grad_state");
@@ -63,8 +61,8 @@ TEST(TransferEngineTest, FlowClassMetadata) {
             IoScheduler::Priority::kBackground);
 }
 
-TEST(TransferEngineTest, RoundTripPerFlowWithAccounting) {
-  auto engine = OpenEngine("rt");
+TEST_F(TransferEngineTest, RoundTripPerFlowWithAccounting) {
+  auto engine = OpenEngine(tmp.path());
   ASSERT_TRUE(engine.ok());
   Rng rng(11);
   for (int i = 0; i < kNumFlowClasses; ++i) {
@@ -75,11 +73,11 @@ TEST(TransferEngineTest, RoundTripPerFlowWithAccounting) {
     const auto wt = (*engine)->SubmitWrite(flow, key, data.data(),
                                            static_cast<int64_t>(data.size()));
     ASSERT_TRUE((*engine)->Wait(wt).ok());
-    std::vector<uint8_t> out;
+    Buffer out;
     const auto rt = (*engine)->SubmitRead(flow, key, &out,
                                           static_cast<int64_t>(data.size()));
     ASSERT_TRUE((*engine)->Wait(rt).ok());
-    EXPECT_EQ(out, data);
+    EXPECT_EQ(Vec(out), data);
     const TransferStats snap = (*engine)->stats();
     const FlowCounters& c = snap.Flow(flow);
     EXPECT_EQ(c.reads, 1);
@@ -96,19 +94,19 @@ TEST(TransferEngineTest, RoundTripPerFlowWithAccounting) {
   EXPECT_EQ(stats.Flow(FlowClass::kParamFetch).bytes_from_cache, 0);
 }
 
-TEST(TransferEngineTest, DramTierServesHotReads) {
-  auto engine = OpenEngine("cache", /*cache_bytes=*/1 << 20);
+TEST_F(TransferEngineTest, DramTierServesHotReads) {
+  auto engine = OpenEngine(tmp.path(), /*cache_bytes=*/1 << 20);
   ASSERT_TRUE(engine.ok());
   std::vector<uint8_t> data(2048, 0x3C);
   // Write-through admits the DRAM copy at submit time, so a same-key
   // read resolves from DRAM even before the store write lands.
   const auto wt = (*engine)->SubmitWrite(FlowClass::kParamFetch, "hot",
                                          data.data(), 2048);
-  std::vector<uint8_t> out;
+  Buffer out;
   const auto rt =
       (*engine)->SubmitRead(FlowClass::kParamFetch, "hot", &out, 2048);
   ASSERT_TRUE((*engine)->Wait(rt).ok());
-  EXPECT_EQ(out, data);
+  EXPECT_EQ(Vec(out), data);
   ASSERT_TRUE((*engine)->Wait(wt).ok());
   const TransferStats stats = (*engine)->stats();
   const FlowCounters& c = stats.Flow(FlowClass::kParamFetch);
@@ -121,11 +119,11 @@ TEST(TransferEngineTest, DramTierServesHotReads) {
   EXPECT_FALSE((*engine)->Contains("hot"));
 }
 
-TEST(TransferEngineTest, ColdReadPromotesIntoDram) {
+TEST_F(TransferEngineTest, ColdReadPromotesIntoDram) {
   // Cache fits one blob: the second write evicts the first, making the
   // next read of "k" a genuine miss that must hit the store and then be
   // promoted back into DRAM.
-  auto engine = OpenEngine("promote", /*cache_bytes=*/600);
+  auto engine = OpenEngine(tmp.path(), /*cache_bytes=*/600);
   ASSERT_TRUE(engine.ok());
   std::vector<uint8_t> data(512, 0x7E);
   ASSERT_TRUE(
@@ -153,10 +151,10 @@ TEST(TransferEngineTest, ColdReadPromotesIntoDram) {
   EXPECT_GT(after.cache.evictions, 0);
 }
 
-TEST(TransferEngineTest, ErrorsSurfaceAndAreCounted) {
-  auto engine = OpenEngine("err");
+TEST_F(TransferEngineTest, ErrorsSurfaceAndAreCounted) {
+  auto engine = OpenEngine(tmp.path());
   ASSERT_TRUE(engine.ok());
-  std::vector<uint8_t> out;
+  Buffer out;
   const auto bad =
       (*engine)->SubmitRead(FlowClass::kParamFetch, "missing", &out, 64);
   EXPECT_EQ((*engine)->Wait(bad).code(), StatusCode::kNotFound);
@@ -168,8 +166,8 @@ TEST(TransferEngineTest, ErrorsSurfaceAndAreCounted) {
   EXPECT_FALSE((*engine)->BlobSize("missing").ok());
 }
 
-TEST(TransferEngineTest, DeltaIsolatesAWindow) {
-  auto engine = OpenEngine("delta");
+TEST_F(TransferEngineTest, DeltaIsolatesAWindow) {
+  auto engine = OpenEngine(tmp.path());
   ASSERT_TRUE(engine.ok());
   std::vector<uint8_t> data(256, 1);
   ASSERT_TRUE(
@@ -188,8 +186,9 @@ TEST(TransferEngineTest, DeltaIsolatesAWindow) {
 // classes; every ticket resolves, per-key read-after-write ordering
 // holds, and the per-flow byte counters sum exactly to the store-level
 // totals when reconciled with the DRAM tier.
-TEST(TransferEngineTest, ConcurrentMixedFlowStress) {
-  auto engine = OpenEngine("stress", /*cache_bytes=*/64 * 1024, /*workers=*/3);
+TEST_F(TransferEngineTest, ConcurrentMixedFlowStress) {
+  auto engine =
+      OpenEngine(tmp.path(), /*cache_bytes=*/64 * 1024, /*workers=*/3);
   ASSERT_TRUE(engine.ok());
   constexpr int kThreads = 4;
   constexpr int kOpsPerThread = 48;
@@ -213,12 +212,12 @@ TEST(TransferEngineTest, ConcurrentMixedFlowStress) {
         ASSERT_TRUE((*engine)->Wait(wt).ok());
         submitted_write_bytes.fetch_add(static_cast<int64_t>(data.size()));
         // Read back after the write resolved: must observe this write.
-        std::vector<uint8_t> out;
+        Buffer out;
         const auto rt = (*engine)->SubmitRead(
             flow, key, &out, static_cast<int64_t>(data.size()));
         const Status read = (*engine)->Wait(rt);
         ASSERT_TRUE(read.ok()) << read.ToString();
-        if (out != data) failed_reads.fetch_add(1);
+        if (Vec(out) != data) failed_reads.fetch_add(1);
       }
     });
   }
@@ -239,14 +238,14 @@ TEST(TransferEngineTest, ConcurrentMixedFlowStress) {
     EXPECT_EQ(c.errors, 0) << FlowClassName(static_cast<FlowClass>(i));
     EXPECT_EQ(c.cache_hits + c.cache_misses, c.reads)
         << FlowClassName(static_cast<FlowClass>(i));
-    // Legacy-API traffic with the DRAM tier on copies exactly once per
-    // direction: the write's staging copy, and either the hit memcpy or
-    // the miss promotion on the read side. Never twice.
-    EXPECT_EQ(c.bytes_copied, c.bytes_read + c.bytes_written)
+    // Pointer writes copy once (the staging copy); buffer reads never
+    // copy, whether served by reference from DRAM or promoted by it.
+    EXPECT_EQ(c.bytes_copied, c.bytes_written)
         << FlowClassName(static_cast<FlowClass>(i));
-    // Every legacy write still avoids one allocation: the DRAM tier
-    // takes a reference to the staged buffer instead of its own copy.
-    EXPECT_EQ(c.allocs_avoided, c.writes)
+    // Every write avoids one allocation (the DRAM tier takes a reference
+    // to the staged buffer) and so does every read (served or promoted
+    // by reference).
+    EXPECT_EQ(c.allocs_avoided, c.writes + c.reads)
         << FlowClassName(static_cast<FlowClass>(i));
   }
   EXPECT_EQ(flow_reads, kThreads * kOpsPerThread);
@@ -261,11 +260,11 @@ TEST(TransferEngineTest, ConcurrentMixedFlowStress) {
   EXPECT_EQ(stats.cache.hit_bytes + stats.cache.miss_bytes, flow_bytes_read);
 }
 
-TEST(TransferEngineTest, DrainConsumesAbandonedTickets) {
-  auto engine = OpenEngine("drain");
+TEST_F(TransferEngineTest, DrainConsumesAbandonedTickets) {
+  auto engine = OpenEngine(tmp.path());
   ASSERT_TRUE(engine.ok());
   std::vector<uint8_t> data(128, 9);
-  std::vector<std::vector<uint8_t>> outs(16);
+  std::vector<Buffer> outs(16);
   for (int i = 0; i < 16; ++i) {
     const std::string key = "d" + std::to_string(i);
     (void)(*engine)->SubmitWrite(FlowClass::kCheckpoint, key, data.data(),
@@ -277,20 +276,21 @@ TEST(TransferEngineTest, DrainConsumesAbandonedTickets) {
   const TransferStats stats = (*engine)->stats();
   EXPECT_EQ(stats.Flow(FlowClass::kCheckpoint).writes, 16);
   EXPECT_EQ(stats.Flow(FlowClass::kCheckpoint).reads, 16);
-  for (const auto& out : outs) EXPECT_EQ(out, data);
+  for (const Buffer& out : outs) EXPECT_EQ(Vec(out), data);
   // Fresh submissions still work after a drain.
   ASSERT_TRUE(
       (*engine)->Write(FlowClass::kGradState, "post", data.data(), 128).ok());
   EXPECT_TRUE((*engine)->Contains("post"));
 }
 
-// ----- Zero-copy data path (measured, not asserted) -----
+// ----- Zero-copy data path -----
 
+using TransferEngineZeroCopyTest = TempDirTest;
 // A buffer-native write publishes ONE allocation shared by the caller,
 // the DRAM tier, and the store path; a same-key buffer read hands back
 // a reference to that very allocation. Zero host copies end to end.
-TEST(TransferEngineZeroCopyTest, BufferWritePublishesOneSharedAllocation) {
-  auto engine = OpenEngine("zc_write", /*cache_bytes=*/1 << 20);
+TEST_F(TransferEngineZeroCopyTest, BufferWritePublishesOneSharedAllocation) {
+  auto engine = OpenEngine(tmp.path(), /*cache_bytes=*/1 << 20);
   ASSERT_TRUE(engine.ok());
   Buffer payload = (*engine)->buffer_pool().Lease(4096);
   std::memset(payload.mutable_data(), 0x5A, 4096);
@@ -318,10 +318,11 @@ TEST(TransferEngineZeroCopyTest, BufferWritePublishesOneSharedAllocation) {
   EXPECT_EQ(stats.store_bytes_read, 0);
 }
 
-// The legacy pointer API now costs exactly ONE host copy per direction
-// (it used to cost two with the DRAM tier: staging + tier admit).
-TEST(TransferEngineZeroCopyTest, LegacyApiCopiesAtMostOncePerDirection) {
-  auto engine = OpenEngine("zc_legacy", /*cache_bytes=*/1 << 20);
+// The pointer conveniences cost exactly ONE host copy per direction: the
+// write's staging copy (the DRAM tier shares it by reference) and the
+// read's copy into the caller's memory.
+TEST_F(TransferEngineZeroCopyTest, LegacyApiCopiesAtMostOncePerDirection) {
+  auto engine = OpenEngine(tmp.path(), /*cache_bytes=*/1 << 20);
   ASSERT_TRUE(engine.ok());
   std::vector<uint8_t> data(512, 0x11);
   ASSERT_TRUE(
@@ -332,11 +333,9 @@ TEST(TransferEngineZeroCopyTest, LegacyApiCopiesAtMostOncePerDirection) {
     EXPECT_EQ(c.bytes_copied, 512) << "write = one staging copy, tier by ref";
     EXPECT_EQ(c.bytes_written, 512);
   }
-  std::vector<uint8_t> out;
+  std::vector<uint8_t> out(512);
   ASSERT_TRUE(
-      (*engine)
-          ->Wait((*engine)->SubmitRead(FlowClass::kParamFetch, "k", &out, 512))
-          .ok());
+      (*engine)->Read(FlowClass::kParamFetch, "k", out.data(), 512).ok());
   EXPECT_EQ(out, data);
   const TransferStats stats = (*engine)->stats();
   const FlowCounters& c = stats.Flow(FlowClass::kParamFetch);
@@ -347,8 +346,8 @@ TEST(TransferEngineZeroCopyTest, LegacyApiCopiesAtMostOncePerDirection) {
 
 // Read() convenience on a hot key: one memcpy into the caller's raw
 // pointer and nothing else (previously two: cache -> vector -> out).
-TEST(TransferEngineZeroCopyTest, RawReadOnHotKeyCostsOneCopy) {
-  auto engine = OpenEngine("zc_raw", /*cache_bytes=*/1 << 20);
+TEST_F(TransferEngineZeroCopyTest, RawReadOnHotKeyCostsOneCopy) {
+  auto engine = OpenEngine(tmp.path(), /*cache_bytes=*/1 << 20);
   ASSERT_TRUE(engine.ok());
   Buffer payload = (*engine)->buffer_pool().Lease(1024);
   std::memset(payload.mutable_data(), 0x22, 1024);
@@ -370,8 +369,8 @@ TEST(TransferEngineZeroCopyTest, RawReadOnHotKeyCostsOneCopy) {
 // A cold buffer read leases from the pool, promotes into DRAM *by
 // reference*, and the next read shares that promoted allocation —
 // still zero copies on the whole miss+hit sequence.
-TEST(TransferEngineZeroCopyTest, ColdBufferReadPromotesByReference) {
-  auto engine = OpenEngine("zc_cold", /*cache_bytes=*/600);
+TEST_F(TransferEngineZeroCopyTest, ColdBufferReadPromotesByReference) {
+  auto engine = OpenEngine(tmp.path(), /*cache_bytes=*/600);
   ASSERT_TRUE(engine.ok());
   Buffer payload = (*engine)->buffer_pool().Lease(512);
   std::memset(payload.mutable_data(), 0x33, 512);
@@ -410,8 +409,8 @@ TEST(TransferEngineZeroCopyTest, ColdBufferReadPromotesByReference) {
 // Steady state: re-reading and re-writing the same working set leases
 // every buffer from the pool's free lists — zero pool misses (fresh
 // allocations) after warmup.
-TEST(TransferEngineZeroCopyTest, SteadyStatePoolMissesAreZeroAfterWarmup) {
-  auto engine = OpenEngine("zc_steady", /*cache_bytes=*/1 << 20);
+TEST_F(TransferEngineZeroCopyTest, SteadyStatePoolMissesAreZeroAfterWarmup) {
+  auto engine = OpenEngine(tmp.path(), /*cache_bytes=*/1 << 20);
   ASSERT_TRUE(engine.ok());
   auto step = [&] {
     for (int i = 0; i < 4; ++i) {
@@ -436,14 +435,14 @@ TEST(TransferEngineZeroCopyTest, SteadyStatePoolMissesAreZeroAfterWarmup) {
 
 // ----- Checked ticket lifecycle -----
 
-TEST(TransferEngineTest, WaitOnUnknownTicketIsInvalidArgument) {
-  auto engine = OpenEngine("badticket");
+TEST_F(TransferEngineTest, WaitOnUnknownTicketIsInvalidArgument) {
+  auto engine = OpenEngine(tmp.path());
   ASSERT_TRUE(engine.ok());
   EXPECT_EQ((*engine)->Wait(123456).code(), StatusCode::kInvalidArgument);
 }
 
-TEST(TransferEngineTest, DoubleWaitIsInvalidArgument) {
-  auto engine = OpenEngine("doublewait", /*cache_bytes=*/1 << 20);
+TEST_F(TransferEngineTest, DoubleWaitIsInvalidArgument) {
+  auto engine = OpenEngine(tmp.path(), /*cache_bytes=*/1 << 20);
   ASSERT_TRUE(engine.ok());
   std::vector<uint8_t> data(64, 5);
   const auto wt =
@@ -451,7 +450,7 @@ TEST(TransferEngineTest, DoubleWaitIsInvalidArgument) {
   ASSERT_TRUE((*engine)->Wait(wt).ok());
   EXPECT_EQ((*engine)->Wait(wt).code(), StatusCode::kInvalidArgument);
   // Cache-resolved tickets are single-use too.
-  std::vector<uint8_t> out;
+  Buffer out;
   const auto rt = (*engine)->SubmitRead(FlowClass::kCheckpoint, "k", &out, 64);
   ASSERT_TRUE((*engine)->Wait(rt).ok());
   EXPECT_EQ((*engine)->Wait(rt).code(), StatusCode::kInvalidArgument);
@@ -459,8 +458,8 @@ TEST(TransferEngineTest, DoubleWaitIsInvalidArgument) {
 
 // ----- Batched waits (the optimizer's state-read/writeback sets) -----
 
-TEST(TransferEngineTest, WaitAllResolvesABatchAndConsumesEveryTicket) {
-  auto engine = OpenEngine("waitall", /*cache_bytes=*/1 << 20);
+TEST_F(TransferEngineTest, WaitAllResolvesABatchAndConsumesEveryTicket) {
+  auto engine = OpenEngine(tmp.path(), /*cache_bytes=*/1 << 20);
   ASSERT_TRUE(engine.ok());
   std::vector<uint8_t> data(256, 0xAB);
   std::vector<TransferEngine::Ticket> tickets;
@@ -471,13 +470,13 @@ TEST(TransferEngineTest, WaitAllResolvesABatchAndConsumesEveryTicket) {
   }
   // With the DRAM tier on, the same-key reads resolve at submit time:
   // WaitAll must consume cache-resolved and inflight tickets alike.
-  std::vector<std::vector<uint8_t>> outs(4);
+  std::vector<Buffer> outs(4);
   for (int i = 0; i < 4; ++i) {
     tickets.push_back((*engine)->SubmitRead(
         FlowClass::kGradState, "k" + std::to_string(i), &outs[i], 256));
   }
   ASSERT_TRUE((*engine)->WaitAll(tickets).ok());
-  for (const auto& out : outs) EXPECT_EQ(out, data);
+  for (const Buffer& out : outs) EXPECT_EQ(Vec(out), data);
   // Every ticket was consumed exactly as by a per-ticket Wait.
   for (const auto t : tickets) {
     EXPECT_EQ((*engine)->Wait(t).code(), StatusCode::kInvalidArgument);
@@ -485,13 +484,13 @@ TEST(TransferEngineTest, WaitAllResolvesABatchAndConsumesEveryTicket) {
   EXPECT_TRUE((*engine)->WaitAll({}).ok());
 }
 
-TEST(TransferEngineTest, WaitAllReturnsTheFirstErrorInIssueOrder) {
-  auto engine = OpenEngine("waitallerr");
+TEST_F(TransferEngineTest, WaitAllReturnsTheFirstErrorInIssueOrder) {
+  auto engine = OpenEngine(tmp.path());
   ASSERT_TRUE(engine.ok());
   std::vector<uint8_t> data(64, 1);
   const auto good =
       (*engine)->SubmitWrite(FlowClass::kCheckpoint, "ok", data.data(), 64);
-  std::vector<uint8_t> out;
+  Buffer out;
   const auto missing =
       (*engine)->SubmitRead(FlowClass::kParamFetch, "missing", &out, 64);
   // Issue order: ok, kNotFound, kInvalidArgument — the first failure
@@ -504,10 +503,10 @@ TEST(TransferEngineTest, WaitAllReturnsTheFirstErrorInIssueOrder) {
   EXPECT_TRUE((*engine)->Contains("ok"));
 }
 
-TEST(TransferEngineTest, WaitAllNeverMasksARealErrorWithTicketBookkeeping) {
-  auto engine = OpenEngine("waitallmask");
+TEST_F(TransferEngineTest, WaitAllNeverMasksARealErrorWithTicketBookkeeping) {
+  auto engine = OpenEngine(tmp.path());
   ASSERT_TRUE(engine.ok());
-  std::vector<uint8_t> out;
+  Buffer out;
   const auto missing =
       (*engine)->SubmitRead(FlowClass::kGradState, "missing", &out, 64);
   // A never-issued ticket EARLIER in issue order must not hide the
@@ -523,8 +522,8 @@ TEST(TransferEngineTest, WaitAllNeverMasksARealErrorWithTicketBookkeeping) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(TransferEngineTest, DrainIsIdempotent) {
-  auto engine = OpenEngine("redrain");
+TEST_F(TransferEngineTest, DrainIsIdempotent) {
+  auto engine = OpenEngine(tmp.path());
   ASSERT_TRUE(engine.ok());
   std::vector<uint8_t> data(128, 7);
   const auto t =
@@ -545,11 +544,10 @@ TEST(TransferEngineTest, DrainIsIdempotent) {
 // the store (FaultInjector::StallOpsOn), so a write is provably
 // unresolved while the test reads its key.
 struct ForwardingRig {
-  explicit ForwardingRig(const std::string& tag, const std::string& codec,
-                         FaultConfig faults = {})
+  explicit ForwardingRig(const std::string& codec, FaultConfig faults = {})
       : injector(faults) {
     TransferOptions opts;
-    opts.dir = TempDir(tag);
+    opts.dir = tmp.path();
     opts.num_stripes = 2;
     opts.chunk_bytes = 4096;
     opts.io_workers = 2;
@@ -560,6 +558,7 @@ struct ForwardingRig {
     engine = std::move(engine_or).value();
   }
 
+  const ScopedTempDir tmp{"xfer_fwd"};
   FaultInjector injector;
   std::unique_ptr<TransferEngine> engine;
 };
@@ -577,7 +576,7 @@ std::vector<float> RandomFloats(uint64_t seed, size_t n) {
 TEST(TransferEngineForwardingTest, ForwardedReadEqualsAResolvedRead) {
   for (const std::string codec : {"", "fp16"}) {
     SCOPED_TRACE("codec '" + codec + "'");
-    ForwardingRig rig("fwd" + codec, codec);
+    ForwardingRig rig(codec);
     TransferEngine& engine = *rig.engine;
     const std::vector<float> values = RandomFloats(11, 1001);
     const int64_t bytes = static_cast<int64_t>(4 * values.size());
@@ -586,15 +585,14 @@ TEST(TransferEngineForwardingTest, ForwardedReadEqualsAResolvedRead) {
                                           values.data(), bytes);
     rig.injector.WaitForStalled(1);  // the store write is in progress
 
-    Buffer forwarded;
-    std::vector<uint8_t> forwarded_vec;
+    Buffer forwarded, forwarded_again;
     ASSERT_TRUE(engine
                     .Wait(engine.SubmitRead(FlowClass::kActivationSpill, "act",
                                             &forwarded, bytes))
                     .ok());
     ASSERT_TRUE(engine
                     .Wait(engine.SubmitRead(FlowClass::kActivationSpill, "act",
-                                            &forwarded_vec, bytes))
+                                            &forwarded_again, bytes))
                     .ok());
     const FlowCounters before = engine.stats().Flow(FlowClass::kActivationSpill);
     EXPECT_EQ(before.bytes_forwarded, 2 * bytes);
@@ -611,7 +609,7 @@ TEST(TransferEngineForwardingTest, ForwardedReadEqualsAResolvedRead) {
     ASSERT_EQ(forwarded.size(), bytes);
     ASSERT_EQ(resolved.size(), bytes);
     EXPECT_EQ(std::memcmp(forwarded.data(), resolved.data(), bytes), 0);
-    EXPECT_EQ(std::memcmp(forwarded_vec.data(), resolved.data(), bytes), 0);
+    EXPECT_EQ(std::memcmp(forwarded_again.data(), resolved.data(), bytes), 0);
     if (codec.empty()) {
       EXPECT_EQ(std::memcmp(resolved.data(), values.data(), bytes), 0);
     }
@@ -630,7 +628,7 @@ TEST(TransferEngineForwardingTest, ForwardedReadEqualsAResolvedRead) {
 TEST(TransferEngineForwardingTest, ForwardingSurvivesAnInjectedWriteFault) {
   FaultConfig faults;
   faults.write_error_every = 1;  // every attempt fails: the write gives up
-  ForwardingRig rig("fwdfault", "fp16", faults);
+  ForwardingRig rig("fp16", faults);
   TransferEngine& engine = *rig.engine;
   const std::vector<float> values = RandomFloats(12, 257);
   const int64_t bytes = static_cast<int64_t>(4 * values.size());
@@ -672,7 +670,8 @@ TEST(TransferEngineForwardingTest, ForwardingSurvivesAnInjectedWriteFault) {
 // the second write sees it, and so does a read after both resolved (the
 // store applied them in submission order).
 TEST(TransferEngineForwardingTest, WriteAfterWriteReadsTheNewerValue) {
-  auto engine = OpenEngine("waw", /*cache_bytes=*/0, /*workers=*/4);
+  const ScopedTempDir tmp("xfer");
+  auto engine = OpenEngine(tmp.path(), /*cache_bytes=*/0, /*workers=*/4);
   ASSERT_TRUE(engine.ok());
   constexpr int kTrials = 10000;
   constexpr int64_t kBytes = 64;
@@ -686,17 +685,17 @@ TEST(TransferEngineForwardingTest, WriteAfterWriteReadsTheNewerValue) {
                                            older.data(), kBytes);
     const auto w2 = (*engine)->SubmitWrite(FlowClass::kCheckpoint, "waw",
                                            newer.data(), kBytes);
-    std::vector<uint8_t> early;
+    Buffer early;
     const auto r = (*engine)->SubmitRead(FlowClass::kCheckpoint, "waw",
                                          &early, kBytes);
     ASSERT_TRUE((*engine)->WaitAll({w1, w2, r}).ok());
-    std::vector<uint8_t> late;
+    Buffer late;
     ASSERT_TRUE((*engine)
                     ->Wait((*engine)->SubmitRead(FlowClass::kCheckpoint, "waw",
                                                  &late, kBytes))
                     .ok());
-    newer_forwarded += early == newer ? 1 : 0;
-    newer_stored += late == newer ? 1 : 0;
+    newer_forwarded += Vec(early) == newer ? 1 : 0;
+    newer_stored += Vec(late) == newer ? 1 : 0;
   }
   EXPECT_EQ(newer_forwarded, kTrials);
   EXPECT_EQ(newer_stored, kTrials);

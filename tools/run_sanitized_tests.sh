@@ -14,7 +14,10 @@
 # deferred-epoch optimizer pipeline whose background epochs + reaper
 # thread race foreground drains by design — `buffer`, the pooled
 # zero-copy buffer suite whose cross-thread lease/release refcounting
-# is exactly what TSan/ASan exist for — or `tenant`, the multi-tenant
+# is exactly what TSan/ASan exist for — `xfer`, the movement stack's
+# own suites (IoScheduler, TransferEngine, Prefetcher, TierCache and
+# BlockStore) whose worker completions, same-key forwarding and cache
+# promotions race the submitting threads — or `tenant`, the multi-tenant
 # JobManager suite whose N job threads hammer one shared engine's
 # accounting, quotas, and fair-share lanes concurrently — or `codec`,
 # the offload-codec conformance battery whose framed encode/decode runs
@@ -23,7 +26,7 @@
 # the engine's workers and whose hot-swaps land between steps while the
 # async optimizer still holds deferred epochs in flight).
 # Without one the full suite runs under every sanitizer, which includes
-# the tenant, codec, and replan labels. The replan label also rides the
+# the xfer, tenant, codec, and replan labels. The replan label also rides the
 # determinism label, so its bitwise-identity assertions run under both
 # RATEL_SIMD modes.
 #
