@@ -14,7 +14,6 @@
 // RATEL_BENCH_SMOKE=1 shrinks the run to a CI-sized smoke.
 
 #include <algorithm>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -107,7 +106,7 @@ ModeResult RunMode(bool async, int steps, const ag::TinyGptConfig& cfg,
 
 int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_async_optim.json";
-  const bool smoke = std::getenv("RATEL_BENCH_SMOKE") != nullptr;
+  const bool smoke = ratel::bench::SmokeMode();
 
   ag::TinyGptConfig cfg;
   cfg.vocab_size = 64;

@@ -30,7 +30,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -311,7 +310,7 @@ ChurnResult RunChurn(bool smoke, uint64_t seed) {
 
 int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_multitenant.json";
-  const bool smoke = std::getenv("RATEL_BENCH_SMOKE") != nullptr;
+  const bool smoke = ratel::bench::SmokeMode();
   const int steps = smoke ? 2 : 6;
 
   const FleetResult fifo = RunFleet(/*fair_share=*/false, smoke, steps);

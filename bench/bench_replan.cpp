@@ -26,7 +26,6 @@
 // RATEL_BENCH_SMOKE=1 shrinks the run to a CI-sized smoke.
 
 #include <cmath>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -201,7 +200,7 @@ void Report(bench::BenchReport* report, const std::string& mode,
 
 int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_replan.json";
-  const bool smoke = std::getenv("RATEL_BENCH_SMOKE") != nullptr;
+  const bool smoke = ratel::bench::SmokeMode();
 
   ag::TinyGptConfig cfg;
   cfg.vocab_size = 64;

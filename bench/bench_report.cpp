@@ -15,7 +15,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <iostream>
@@ -153,7 +152,7 @@ int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_kernels.json";
   const std::string datapath_path =
       argc > 2 ? argv[2] : "BENCH_datapath.json";
-  const bool smoke = std::getenv("RATEL_BENCH_SMOKE") != nullptr;
+  const bool smoke = ratel::bench::SmokeMode();
   if (smoke) {
     g_reps = 1;
     g_sweep_repeats = 1;

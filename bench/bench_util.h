@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/json_writer.h"
+#include "common/knobs.h"
 #include "common/status.h"
 #include "common/table_printer.h"
 #include "common/units.h"
@@ -153,6 +154,11 @@ inline const std::string& ScratchDir(const std::string& name) {
   };
   static const Dir dir(name);
   return dir.path;
+}
+
+/// True when RATEL_BENCH_SMOKE=1 asks for a CI-sized smoke run.
+inline bool SmokeMode() {
+  return knobs::GetOrDie<bool>("RATEL_BENCH_SMOKE").value_or(false);
 }
 
 /// The evaluation server (Table III) with a chosen GPU/memory/SSD count.

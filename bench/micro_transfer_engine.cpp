@@ -15,6 +15,7 @@
 
 #include "bench/bench_util.h"
 #include "common/rng.h"
+#include "runtime/ratel_trainer.h"
 #include "xfer/transfer_engine.h"
 
 namespace {
@@ -38,11 +39,13 @@ std::unique_ptr<TransferEngine> OpenOrDie(const std::string& tag,
   opts.chunk_bytes = 1 << 20;
   opts.host_cache_bytes = cache_bytes;
   opts.io_workers = 2;
-  // RATEL_FAULT_* knobs overlay here, so the same binary also measures
-  // throughput under an injected failure model (chaos benchmarking).
-  // With no knobs set the config stays disabled and no injector — and
-  // no per-op seam cost — exists on the hot path.
-  opts.fault = ratel::FaultConfig::FromEnv();
+  // RATEL_FAULT_* knobs overlay here, as on a trainer, so the same
+  // binary also measures throughput under an injected failure model
+  // (chaos benchmarking). With no knobs set the config stays disabled
+  // and no injector — and no per-op seam cost — exists on the hot path.
+  ratel::TrainerOptions trainer;
+  RATEL_CHECK_OK(ratel::ApplyEnvKnobs(ratel::knobs::ProcessEnv(), &trainer));
+  opts.fault = trainer.fault;
   auto engine = TransferEngine::Open(opts);
   if (!engine.ok()) {
     state.SkipWithError("open failed");

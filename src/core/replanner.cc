@@ -1,7 +1,6 @@
 #include "core/replanner.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/logging.h"
 
@@ -21,33 +20,6 @@ double ClampScale(double s) {
 }
 
 }  // namespace
-
-ReplanConfig ReplanConfig::FromEnv(ReplanConfig base) {
-  if (const char* v = std::getenv("RATEL_REPLAN"); v != nullptr && *v != '\0') {
-    base.enabled = std::atoi(v) != 0;
-  }
-  if (const char* v = std::getenv("RATEL_REPLAN_THRESHOLD_PCT");
-      v != nullptr && *v != '\0') {
-    base.deviation_threshold = std::atof(v) / 100.0;
-  }
-  if (const char* v = std::getenv("RATEL_REPLAN_HYSTERESIS");
-      v != nullptr && *v != '\0') {
-    base.hysteresis_windows = std::atoi(v);
-  }
-  if (const char* v = std::getenv("RATEL_REPLAN_COOLDOWN");
-      v != nullptr && *v != '\0') {
-    base.cooldown_windows = std::atoi(v);
-  }
-  if (const char* v = std::getenv("RATEL_REPLAN_EWMA_ALPHA");
-      v != nullptr && *v != '\0') {
-    base.ewma_alpha = std::atof(v);
-  }
-  if (const char* v = std::getenv("RATEL_REPLAN_WINDOWS");
-      v != nullptr && *v != '\0') {
-    base.window_capacity = std::atoi(v);
-  }
-  return base;
-}
 
 Replanner::Replanner(const ReplanConfig& config, const HardwareProfile& profile,
                      const WorkloadProfile& workload)

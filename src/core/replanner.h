@@ -15,9 +15,9 @@
 
 namespace ratel {
 
-/// Knobs of the plan→run→observe loop. Every field has a RATEL_REPLAN_*
-/// environment overlay (FromEnv), mirroring the fault/codec/async knob
-/// pattern, so re-planning can be toggled on any binary without a
+/// Knobs of the plan→run→observe loop. RatelTrainer::Create overlays
+/// the RATEL_REPLAN_* environment knobs (common/knobs.h) onto every
+/// field, so re-planning can be toggled on any trainer binary without a
 /// recompile.
 struct ReplanConfig {
   /// Master switch. Off (the default) means the trainer never
@@ -38,12 +38,6 @@ struct ReplanConfig {
   double ewma_alpha = 0.5;
   /// Ring capacity of the underlying FlowObserver.
   int window_capacity = 32;
-
-  /// Overlays the RATEL_REPLAN_* environment knobs onto `base`:
-  ///   RATEL_REPLAN (0/1), RATEL_REPLAN_THRESHOLD_PCT,
-  ///   RATEL_REPLAN_HYSTERESIS, RATEL_REPLAN_COOLDOWN,
-  ///   RATEL_REPLAN_EWMA_ALPHA, RATEL_REPLAN_WINDOWS.
-  static ReplanConfig FromEnv(ReplanConfig base);
 };
 
 /// One re-solved schedule: the activation plan to install at the next

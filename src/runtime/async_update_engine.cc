@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <utility>
 
@@ -20,18 +19,6 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 }
 
 }  // namespace
-
-AsyncUpdateOptions AsyncUpdateOptions::FromEnv(AsyncUpdateOptions base) {
-  if (const char* v = std::getenv("RATEL_ASYNC_OPTIM");
-      v != nullptr && *v != '\0') {
-    base.async = std::atoi(v) != 0;
-  }
-  if (const char* v = std::getenv("RATEL_ASYNC_HOT_FRACTION");
-      v != nullptr && *v != '\0') {
-    base.hot_fraction = std::atof(v);
-  }
-  return base;
-}
 
 std::string AsyncUpdateEngine::P32Key(const std::string& name) const {
   return options_.key_namespace + "p32/" + name;

@@ -49,11 +49,6 @@ struct AsyncUpdateOptions {
   /// one store/engine without key collisions. Empty (the default)
   /// leaves the classic single-job key schema untouched.
   std::string key_namespace;
-
-  /// Environment overlay: RATEL_ASYNC_OPTIM (0/1) toggles `async`,
-  /// RATEL_ASYNC_HOT_FRACTION overrides `hot_fraction`. Lets any
-  /// trainer binary switch modes without code changes.
-  static AsyncUpdateOptions FromEnv(AsyncUpdateOptions base);
 };
 
 /// The out-of-core CPU optimizer of Section IV-C, refactored from a

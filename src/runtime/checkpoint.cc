@@ -261,27 +261,6 @@ Status SaveStateViews(const TrainStateView& state, const std::string& path) {
   return Status::Ok();
 }
 
-Status SaveState(const TrainState& state, const std::string& path) {
-  TrainStateView view;
-  view.step = state.step;
-  view.tensors.reserve(state.tensors.size());
-  for (const TensorState& t : state.tensors) {
-    if (t.m.size() != t.p32.size() || t.v.size() != t.p32.size()) {
-      return Status::InvalidArgument("tensor '" + t.name +
-                                     "' has mismatched state sizes");
-    }
-    TensorStateView v;
-    v.name = t.name;
-    v.adam_step = t.adam_step;
-    v.p32 = t.p32.data();
-    v.m = t.m.data();
-    v.v = t.v.data();
-    v.n = static_cast<int64_t>(t.p32.size());
-    view.tensors.push_back(std::move(v));
-  }
-  return SaveStateViews(view, path);
-}
-
 Result<TrainState> LoadState(const std::string& path) {
   FilePtr f(std::fopen(path.c_str(), "rb"));
   if (!f) return Status::NotFound("cannot open '" + path + "'");
@@ -342,13 +321,6 @@ Result<TrainState> LoadState(const std::string& path) {
 
 std::string VersionedPath(const std::string& dir, int64_t step) {
   return dir + "/step_" + std::to_string(step) + ".ckpt";
-}
-
-Status SaveVersioned(const std::string& dir, const TrainState& state) {
-  if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
-    return Status::IoError("mkdir '" + dir + "': " + std::strerror(errno));
-  }
-  return SaveState(state, VersionedPath(dir, state.step));
 }
 
 Status SaveVersionedViews(const std::string& dir,

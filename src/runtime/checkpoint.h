@@ -83,12 +83,8 @@ struct TrainStateView {
 /// `path + ".tmp"`, are flushed and fsync'd, then the shadow file is
 /// atomically renamed over `path`. A crash at any point leaves either
 /// the previous checkpoint or the complete new one — never a torn mix
-/// under the published name.
-Status SaveState(const TrainState& state, const std::string& path);
-
-/// SaveState over views: shard payloads stream from the caller's
-/// buffers straight into the file — no staging vectors. SaveState is a
-/// thin wrapper over this.
+/// under the published name. Shard payloads stream from the caller's
+/// buffers straight into the file — no staging vectors.
 Status SaveStateViews(const TrainStateView& state, const std::string& path);
 
 /// Reads a v2 checkpoint, verifying the header and every shard CRC.
@@ -99,11 +95,8 @@ Result<TrainState> LoadState(const std::string& path);
 /// `dir/step_<N>.ckpt` — the versioned checkpoint naming scheme.
 std::string VersionedPath(const std::string& dir, int64_t step);
 
-/// Writes `state` as `dir/step_<state.step>.ckpt` (SaveState semantics;
-/// `dir` is created if absent).
-Status SaveVersioned(const std::string& dir, const TrainState& state);
-
-/// SaveVersioned over views (no staging vectors).
+/// Writes `state` as `dir/step_<state.step>.ckpt` (SaveStateViews
+/// semantics; `dir` is created if absent).
 Status SaveVersionedViews(const std::string& dir,
                           const TrainStateView& state);
 

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <thread>
 
+#include "common/knobs.h"
 #include "runtime/thread_pool.h"
 
 namespace ratel {
@@ -15,10 +15,9 @@ namespace {
 
 constexpr int kMaxComputeThreads = 16;
 
-int ResolveThreadsFromEnv() {
-  if (const char* env = std::getenv("RATEL_THREADS")) {
-    const int n = std::atoi(env);
-    if (n >= 1) return std::min(n, kMaxComputeThreads);
+int ResolveThreads() {
+  if (const auto n = knobs::GetOrDie<int64_t>("RATEL_THREADS")) {
+    return static_cast<int>(std::min<int64_t>(*n, kMaxComputeThreads));
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return std::clamp(static_cast<int>(hw), 1, kMaxComputeThreads);
@@ -36,7 +35,7 @@ std::shared_ptr<ThreadPool> g_pool;
 std::shared_ptr<ThreadPool> PoolShare() {
   std::lock_guard<std::mutex> lock(g_mu);
   if (g_threads == 0) {
-    g_threads = ResolveThreadsFromEnv();
+    g_threads = ResolveThreads();
     if (g_threads > 1) g_pool = std::make_shared<ThreadPool>(g_threads - 1);
   }
   return g_pool;
@@ -58,8 +57,7 @@ std::atomic<int> g_oversubscribe{-1};  // -1 = resolve from env on first use
 bool ResolveOversubscribe() {
   int v = g_oversubscribe.load(std::memory_order_relaxed);
   if (v < 0) {
-    const char* env = std::getenv("RATEL_OVERSUBSCRIBE");
-    v = (env != nullptr && env[0] != '\0' && env[0] != '0') ? 1 : 0;
+    v = knobs::GetOrDie<bool>("RATEL_OVERSUBSCRIBE").value_or(false) ? 1 : 0;
     g_oversubscribe.store(v, std::memory_order_relaxed);
   }
   return v != 0;

@@ -14,9 +14,10 @@ namespace ratel {
 /// the Fig. 3b pipeline).
 ///
 /// The pool is sized once, lazily, from the RATEL_THREADS environment
-/// variable (total compute threads including the caller; default:
-/// hardware concurrency, clamped to [1, 16]). RATEL_THREADS=1 disables
-/// worker threads entirely — every kernel then runs inline.
+/// knob (total compute threads including the caller, clamped to 16;
+/// default: hardware concurrency; a malformed value or 0 fails a
+/// RATEL_CHECK). RATEL_THREADS=1 disables worker threads entirely —
+/// every kernel then runs inline.
 ///
 /// Determinism contract: ComputeParallelFor partitions work into chunks
 /// whose boundaries depend only on (begin, end, grain). Kernels keep a

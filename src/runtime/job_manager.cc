@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <utility>
 
 #include "common/logging.h"
@@ -19,42 +18,6 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
-}
-
-/// Looks `name` up in an env var of the form "jobA=4,jobB=2".
-bool LookupEnvMap(const char* var, const std::string& name, int64_t* out) {
-  const char* v = std::getenv(var);
-  if (v == nullptr || *v == '\0') return false;
-  const std::string s(v);
-  size_t pos = 0;
-  while (pos <= s.size()) {
-    const size_t comma = s.find(',', pos);
-    const std::string item = s.substr(
-        pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    const size_t eq = item.find('=');
-    if (eq != std::string::npos && item.substr(0, eq) == name) {
-      *out = std::atoll(item.c_str() + eq + 1);
-      return true;
-    }
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return false;
-}
-
-/// Overlays the RATEL_TENANT_* env knobs onto `spec` (matched by name).
-JobSpec ApplyEnvOverlays(JobSpec spec) {
-  int64_t v = 0;
-  if (LookupEnvMap("RATEL_TENANT_WEIGHT", spec.name, &v)) {
-    spec.weight = static_cast<int>(v);
-  }
-  if (LookupEnvMap("RATEL_TENANT_DRAM_QUOTA", spec.name, &v)) {
-    spec.quota.dram_bytes = v;
-  }
-  if (LookupEnvMap("RATEL_TENANT_INFLIGHT_QUOTA", spec.name, &v)) {
-    spec.quota.inflight_bytes = v;
-  }
-  return spec;
 }
 
 /// Deterministic synthetic token stream, keyed by (seed, step) so a
@@ -189,8 +152,27 @@ Result<std::unique_ptr<JobManager>> JobManager::Create(
 
 JobManager::~JobManager() { (void)WaitAll(); }
 
+Status ApplyEnvKnobs(const knobs::Env& env, JobSpec* spec) {
+  int64_t weight = spec->weight;
+  TenantQuota& quota = spec->quota;
+  for (const auto& [name, field] :
+       {std::pair{"RATEL_TENANT_WEIGHT", &weight},
+        std::pair{"RATEL_TENANT_DRAM_QUOTA", &quota.dram_bytes},
+        std::pair{"RATEL_TENANT_INFLIGHT_QUOTA", &quota.inflight_bytes}}) {
+    RATEL_ASSIGN_OR_RETURN(
+        const auto by_job,
+        (knobs::Get<std::map<std::string, int64_t>>(env, name)));
+    if (by_job.has_value() && by_job->count(spec->name) > 0) {
+      *field = by_job->at(spec->name);
+    }
+  }
+  spec->weight = static_cast<int>(weight);
+  return Status::Ok();
+}
+
 Result<AdmissionVerdict> JobManager::Submit(const JobSpec& spec_in) {
-  JobSpec spec = ApplyEnvOverlays(spec_in);
+  JobSpec spec = spec_in;
+  RATEL_RETURN_IF_ERROR(ApplyEnvKnobs(knobs::ProcessEnv(), &spec));
   if (spec.name.empty()) {
     return Status::InvalidArgument("job name must not be empty");
   }

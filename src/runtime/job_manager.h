@@ -147,6 +147,14 @@ struct JobManagerStats {
   TransferStats engine_stats;
 };
 
+/// Overlays the RATEL_TENANT_* environment knobs onto `spec`, by job
+/// name (format "name=value,name2=value2"; see common/knobs.h):
+///   RATEL_TENANT_WEIGHT          fair-share weight
+///   RATEL_TENANT_DRAM_QUOTA      DRAM-tier residency quota, bytes
+///   RATEL_TENANT_INFLIGHT_QUOTA  in-flight store-byte quota, bytes
+/// A malformed value is kInvalidArgument naming the knob.
+Status ApplyEnvKnobs(const knobs::Env& env, JobSpec* spec);
+
 /// Multi-tenant front end of the runtime: N concurrent fine-tuning jobs
 /// sharing ONE TransferEngine (one DRAM tier, one SSD array, one I/O
 /// scheduler), each on a dedicated thread under its own TenantId.
@@ -168,11 +176,9 @@ struct JobManagerStats {
 ///    and continues bitwise from the checkpoint; WaitAll() joins
 ///    everything and surfaces the first job error.
 ///
-/// Environment overlays applied per job at Submit (format
-/// "name=value,name2=value2", matching on JobSpec::name):
-///   RATEL_TENANT_WEIGHT          fair-share weight
-///   RATEL_TENANT_DRAM_QUOTA      DRAM-tier residency quota, bytes
-///   RATEL_TENANT_INFLIGHT_QUOTA  in-flight store-byte quota, bytes
+/// Submit applies the RATEL_TENANT_* knobs (ApplyEnvKnobs below). The
+/// jobs' trainers attach to the shared engine, so RATEL_FAULT_* and
+/// RATEL_CODEC_* do not reach them.
 ///
 /// Thread-safe. A manager running exactly one job with default weight
 /// and no quotas drives the engine identically to a bare RatelTrainer

@@ -1,6 +1,7 @@
 #include "runtime/ratel_trainer.h"
 
 #include <algorithm>
+#include <cctype>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -31,6 +32,70 @@ constexpr int64_t kNarrowBlock = 4096;
 
 }  // namespace
 
+Status ApplyEnvKnobs(const knobs::Env& env, TrainerOptions* options) {
+  Status status = knobs::Validate(env);
+  // One knob onto one field; the first error sticks.
+  const auto overlay = [&](const char* name, auto* field,
+                           double divisor = 1.0) {
+    if (status.ok()) status = knobs::Overlay(env, name, field, divisor);
+  };
+  FaultConfig& fault = options->fault;
+  overlay("RATEL_FAULT_SEED", &fault.seed);
+  overlay("RATEL_FAULT_READ_ERROR_EVERY", &fault.read_error_every);
+  overlay("RATEL_FAULT_WRITE_ERROR_EVERY", &fault.write_error_every);
+  overlay("RATEL_FAULT_LATENCY_SPIKE_EVERY", &fault.latency_spike_every);
+  overlay("RATEL_FAULT_LATENCY_SPIKE_MS", &fault.latency_spike_s, 1e3);
+  overlay("RATEL_FAULT_TORN_WRITE_EVERY", &fault.torn_write_every);
+  overlay("RATEL_FAULT_DEAD_STRIPE", &fault.dead_stripe);
+  overlay("RATEL_FAULT_KEY_PREFIX", &fault.key_prefix);
+  overlay("RATEL_ASYNC_OPTIM", &options->async_optimizer);
+  overlay("RATEL_ASYNC_HOT_FRACTION", &options->async_hot_fraction);
+  ReplanConfig& replan = options->replan;
+  overlay("RATEL_REPLAN", &replan.enabled);
+  overlay("RATEL_REPLAN_THRESHOLD_PCT", &replan.deviation_threshold, 100.0);
+  overlay("RATEL_REPLAN_HYSTERESIS", &replan.hysteresis_windows);
+  overlay("RATEL_REPLAN_COOLDOWN", &replan.cooldown_windows);
+  overlay("RATEL_REPLAN_EWMA_ALPHA", &replan.ewma_alpha);
+  overlay("RATEL_REPLAN_WINDOWS", &replan.window_capacity);
+  RATEL_RETURN_IF_ERROR(status);
+  // RATEL_CODEC_<FLOW> holds a MakeCodec spec; RATEL_FAULT_FLOWS is
+  // "all" or a list of FlowClass names, one bit each.
+  RATEL_ASSIGN_OR_RETURN(
+      const std::optional<std::vector<std::string>> flows,
+      knobs::Get<std::vector<std::string>>(env, "RATEL_FAULT_FLOWS"));
+  if (flows.has_value()) fault.flow_mask = 0;
+  for (const std::string& name : flows.value_or(std::vector<std::string>{})) {
+    int i = 0;
+    while (i < kNumFlowClasses &&
+           name != FlowClassName(static_cast<FlowClass>(i))) {
+      ++i;
+    }
+    if (name != "all" && i == kNumFlowClasses) {
+      return Status::InvalidArgument("RATEL_FAULT_FLOWS='" +
+                                     env.at("RATEL_FAULT_FLOWS") +
+                                     "': unknown flow '" + name + "'");
+    }
+    fault.flow_mask |= name == "all" ? 0xFFFFFFFFu : 1u << i;
+  }
+  for (int i = 0; i < kNumFlowClasses; ++i) {
+    std::string name = "RATEL_CODEC_";
+    for (const char* p = FlowClassName(static_cast<FlowClass>(i)); *p != '\0';
+         ++p) {
+      name.push_back(
+          static_cast<char>(std::toupper(static_cast<unsigned char>(*p))));
+    }
+    RATEL_ASSIGN_OR_RETURN(const std::optional<std::string> spec,
+                           knobs::Get<std::string>(env, name));
+    if (!spec.has_value()) continue;
+    if (const auto codec = MakeCodec(*spec); !codec.ok()) {
+      return Status::InvalidArgument(name + "='" + *spec +
+                                     "': " + codec.status().message());
+    }
+    options->codec.flow_spec[static_cast<size_t>(i)] = *spec;
+  }
+  return Status::Ok();
+}
+
 RatelTrainer::RatelTrainer(ag::TinyGpt* model, const TrainerOptions& options)
     : model_(model), options_(options) {}
 
@@ -50,7 +115,9 @@ Status RatelTrainer::WaitSpillWrites() {
 Result<std::unique_ptr<RatelTrainer>> RatelTrainer::Create(
     ag::TinyGpt* model, const TrainerOptions& options) {
   RATEL_CHECK(model != nullptr);
-  std::unique_ptr<RatelTrainer> trainer(new RatelTrainer(model, options));
+  TrainerOptions resolved = options;
+  RATEL_RETURN_IF_ERROR(ApplyEnvKnobs(knobs::ProcessEnv(), &resolved));
+  std::unique_ptr<RatelTrainer> trainer(new RatelTrainer(model, resolved));
   RATEL_RETURN_IF_ERROR(trainer->Initialize());
   return trainer;
 }
@@ -71,18 +138,15 @@ Status RatelTrainer::Initialize() {
     xfer.background_aging_limit = options_.background_aging_limit;
     xfer.read_bandwidth = options_.ssd_read_bandwidth;
     xfer.write_bandwidth = options_.ssd_write_bandwidth;
-    // Environment knobs overlay the programmatic fault config, so any
-    // trainer binary can be chaos-tested without code changes.
-    xfer.fault = FaultConfig::FromEnv(options_.fault);
+    xfer.fault = options_.fault;
     xfer.fault_injector = options_.fault_injector;
     xfer.retry = options_.io_retry;
     xfer.stripe_death_threshold = options_.stripe_death_threshold;
-    // Same overlay pattern for the store-path codecs, with the trainer's
-    // lossy-flow rule on top: only the activation-spill leg may degrade
-    // precision — it is recomputable/transient and fp16-tolerant by
-    // construction — while parameter, gradient/optimizer-state, and
+    // The trainer's lossy-flow rule: only the activation-spill leg may
+    // degrade precision — it is recomputable/transient and fp16-tolerant
+    // by construction — while parameter, gradient/optimizer-state, and
     // checkpoint bytes must round-trip exactly.
-    xfer.codec = CodecConfig::FromEnv(options_.codec);
+    xfer.codec = options_.codec;
     for (int i = 0; i < kNumFlowClasses; ++i) {
       const FlowClass flow = static_cast<FlowClass>(i);
       auto codec = MakeCodec(xfer.codec.spec(flow));
@@ -98,8 +162,6 @@ Status RatelTrainer::Initialize() {
     RATEL_ASSIGN_OR_RETURN(owned_engine_, TransferEngine::Open(xfer));
     engine_ = owned_engine_.get();
   }
-  // The async-optimizer knobs get the same environment overlay as the
-  // fault config: any trainer binary can flip modes without rebuilding.
   AsyncUpdateOptions update_opts;
   update_opts.async = options_.async_optimizer;
   update_opts.hot_fraction = options_.async_hot_fraction;
@@ -109,7 +171,6 @@ Status RatelTrainer::Initialize() {
   update_opts.background_threads = options_.async_background_threads;
   update_opts.tenant = options_.tenant;
   update_opts.key_namespace = options_.key_namespace;
-  update_opts = AsyncUpdateOptions::FromEnv(update_opts);
   adam_ = std::make_unique<AsyncUpdateEngine>(options_.adam, engine_,
                                               update_opts);
   for (auto& [name, var] : model_->parameters()) {
@@ -139,10 +200,8 @@ Status RatelTrainer::Initialize() {
   }
   pipeline_ =
       std::make_unique<ThreadPool>(std::max(1, options_.pipeline_threads));
-  // Resolve the re-planning knobs once (same overlay pattern as faults
-  // and codecs); the replanner itself is built lazily on the first step,
-  // when the micro-batch size fixes the workload profile.
-  options_.replan = ReplanConfig::FromEnv(options_.replan);
+  // The replanner is built lazily on the first step, when the
+  // micro-batch size fixes the workload profile.
   return Status::Ok();
 }
 

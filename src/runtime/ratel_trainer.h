@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "autograd/transformer.h"
+#include "common/knobs.h"
 #include "common/status.h"
 #include "core/iteration_sim.h"
 #include "core/replanner.h"
@@ -166,6 +167,16 @@ struct StepStats {
   float loss = 0.0f;
 };
 
+/// Overlays the environment knobs that configure a trainer onto
+/// `options`: RATEL_FAULT_* onto `fault`, RATEL_CODEC_<FLOW> onto
+/// `codec`, RATEL_ASYNC_OPTIM and RATEL_ASYNC_HOT_FRACTION onto the
+/// async optimizer fields, and RATEL_REPLAN_* onto `replan` (see
+/// common/knobs.h and README's "Environment knobs"). Every RATEL_* knob
+/// in `env` is checked first, so a malformed one anywhere is
+/// kInvalidArgument naming it. RatelTrainer::Create applies this to the
+/// process environment.
+Status ApplyEnvKnobs(const knobs::Env& env, TrainerOptions* options);
+
 /// The runnable counterpart of the paper's framework integration
 /// (Fig. 4): wraps a real TinyGpt model so that
 ///   - the fp16 weights (P16) are derived before each forward pass:
@@ -206,7 +217,8 @@ class RatelTrainer {
   /// Writes a crash-consistent checkpoint `dir/step_<N>.ckpt` holding
   /// the full optimizer state (P32 + moments + per-tensor steps) and the
   /// global step: engine drained first, shard-checksummed, written to a
-  /// shadow file and atomically published (see checkpoint::SaveState).
+  /// shadow file and atomically published (see
+  /// checkpoint::SaveStateViews).
   Status SaveCheckpoint(const std::string& dir);
 
   /// Resumes from the newest *valid* checkpoint in `dir` — a torn

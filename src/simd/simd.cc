@@ -1,8 +1,6 @@
 #include "simd/simd.h"
 
-#include <cstdlib>
-#include <cstring>
-
+#include "common/knobs.h"
 #include "common/logging.h"
 
 namespace ratel::simd {
@@ -32,17 +30,12 @@ const char* ModeName(Mode mode) {
 namespace {
 
 Mode ResolveInitialMode() {
-  const char* env = std::getenv("RATEL_SIMD");
-  if (env != nullptr && env[0] != '\0' && std::strcmp(env, "auto") != 0) {
-    if (std::strcmp(env, "scalar") == 0) return Mode::kScalar;
-    if (std::strcmp(env, "avx2") == 0) {
-      if (HostHasAvx2()) return Mode::kAvx2;
-      RATEL_LOG(Warning) << "RATEL_SIMD=avx2 requested but this host/build "
-                            "lacks AVX2+FMA+F16C; falling back to scalar";
-      return Mode::kScalar;
-    }
-    RATEL_LOG(Warning) << "unknown RATEL_SIMD='" << env
-                       << "' (expected auto|avx2|scalar); using auto";
+  const std::string mode =
+      knobs::GetOrDie<std::string>("RATEL_SIMD").value_or("auto");
+  if (mode == "scalar") return Mode::kScalar;
+  if (mode == "avx2" && !HostHasAvx2()) {
+    RATEL_LOG(Warning) << "RATEL_SIMD=avx2 requested but this host/build "
+                          "lacks AVX2+FMA+F16C; falling back to scalar";
   }
   return HostHasAvx2() ? Mode::kAvx2 : Mode::kScalar;
 }

@@ -18,9 +18,10 @@ namespace ratel::simd {
 ///    per-lane fallback (fmaf, sqrtf, software fp16).
 ///
 /// The backend is selected ONCE at startup from the `RATEL_SIMD`
-/// environment variable (`auto` | `avx2` | `scalar`; default `auto` =
-/// AVX2 when the host supports it) and can be overridden explicitly
-/// with `SetMode` (tests, the scalar-vs-SIMD bench A/B).
+/// environment knob (`auto` | `avx2` | `scalar`; default `auto` =
+/// AVX2 when the host supports it; any other value fails a
+/// RATEL_CHECK) and can be overridden explicitly with `SetMode` (tests,
+/// the scalar-vs-SIMD bench A/B).
 ///
 /// Determinism contract: every kernel is bitwise identical across
 /// modes, run-to-run and at any RATEL_THREADS value, so a checkpoint

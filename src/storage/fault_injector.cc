@@ -1,7 +1,6 @@
 #include "storage/fault_injector.h"
 
 #include <chrono>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <utility>
@@ -33,13 +32,6 @@ uint64_t HashKey(uint64_t seed, int kind, const std::string& key) {
   return h;
 }
 
-bool EnvInt(const char* name, int* out) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return false;
-  *out = std::atoi(v);
-  return true;
-}
-
 }  // namespace
 
 const char* FaultKindName(FaultKind kind) {
@@ -56,56 +48,6 @@ const char* FaultKindName(FaultKind kind) {
       return "dead_stripe";
   }
   return "unknown";
-}
-
-FaultConfig FaultConfig::FromEnv() { return FromEnv(FaultConfig()); }
-
-FaultConfig FaultConfig::FromEnv(FaultConfig base) {
-  if (const char* v = std::getenv("RATEL_FAULT_SEED"); v != nullptr) {
-    base.seed = std::strtoull(v, nullptr, 10);
-  }
-  EnvInt("RATEL_FAULT_READ_ERROR_EVERY", &base.read_error_every);
-  EnvInt("RATEL_FAULT_WRITE_ERROR_EVERY", &base.write_error_every);
-  EnvInt("RATEL_FAULT_LATENCY_SPIKE_EVERY", &base.latency_spike_every);
-  if (const char* v = std::getenv("RATEL_FAULT_LATENCY_SPIKE_MS");
-      v != nullptr && *v != '\0') {
-    base.latency_spike_s = std::atof(v) / 1e3;
-  }
-  EnvInt("RATEL_FAULT_TORN_WRITE_EVERY", &base.torn_write_every);
-  EnvInt("RATEL_FAULT_DEAD_STRIPE", &base.dead_stripe);
-  if (const char* v = std::getenv("RATEL_FAULT_KEY_PREFIX"); v != nullptr) {
-    base.key_prefix = v;
-  }
-  if (const char* v = std::getenv("RATEL_FAULT_FLOWS");
-      v != nullptr && *v != '\0') {
-    const std::string flows(v);
-    if (flows == "all") {
-      base.flow_mask = 0xFFFFFFFFu;
-    } else {
-      // Canonical FlowClass names, in enum order (see src/xfer). The
-      // storage layer only treats them as bit labels.
-      static constexpr const char* kFlowNames[] = {
-          "param_fetch", "grad_state", "activation_spill", "checkpoint",
-          "deferred_state"};
-      constexpr int kNumFlowNames =
-          static_cast<int>(sizeof(kFlowNames) / sizeof(kFlowNames[0]));
-      uint32_t mask = 0;
-      size_t pos = 0;
-      while (pos <= flows.size()) {
-        const size_t comma = flows.find(',', pos);
-        const std::string name =
-            flows.substr(pos, comma == std::string::npos ? std::string::npos
-                                                         : comma - pos);
-        for (int i = 0; i < kNumFlowNames; ++i) {
-          if (name == kFlowNames[i]) mask |= 1u << i;
-        }
-        if (comma == std::string::npos) break;
-        pos = comma + 1;
-      }
-      base.flow_mask = mask;
-    }
-  }
-  return base;
 }
 
 FaultInjector::FaultInjector(const FaultConfig& config)

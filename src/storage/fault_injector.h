@@ -76,16 +76,6 @@ struct FaultConfig {
            latency_spike_every > 0 || torn_write_every > 0 ||
            dead_stripe >= 0;
   }
-
-  /// Overlays the RATEL_FAULT_* environment knobs onto `base`:
-  ///   RATEL_FAULT_SEED, RATEL_FAULT_READ_ERROR_EVERY,
-  ///   RATEL_FAULT_WRITE_ERROR_EVERY, RATEL_FAULT_LATENCY_SPIKE_EVERY,
-  ///   RATEL_FAULT_LATENCY_SPIKE_MS, RATEL_FAULT_TORN_WRITE_EVERY,
-  ///   RATEL_FAULT_DEAD_STRIPE, RATEL_FAULT_FLOWS (comma-separated flow
-  ///   names like "param_fetch,checkpoint", or "all"),
-  ///   RATEL_FAULT_KEY_PREFIX (blob-fault key scope, e.g. "job0/").
-  static FaultConfig FromEnv();
-  static FaultConfig FromEnv(FaultConfig base);
 };
 
 /// The single injection seam of the I/O stack: BlockStore consults it

@@ -1,7 +1,6 @@
 #include "xfer/codec.h"
 
-#include <cctype>
-#include <cstdlib>
+#include <charconv>
 #include <cstring>
 
 #include "common/checksum.h"
@@ -149,21 +148,6 @@ bool CodecConfig::any() const {
   return false;
 }
 
-CodecConfig CodecConfig::FromEnv(CodecConfig base) {
-  for (int i = 0; i < kNumFlowClasses; ++i) {
-    std::string var = "RATEL_CODEC_";
-    for (const char* p = FlowClassName(static_cast<FlowClass>(i)); *p != '\0';
-         ++p) {
-      var.push_back(
-          static_cast<char>(std::toupper(static_cast<unsigned char>(*p))));
-    }
-    if (const char* value = std::getenv(var.c_str())) {
-      base.flow_spec[static_cast<size_t>(i)] = value;
-    }
-  }
-  return base;
-}
-
 Result<std::shared_ptr<const Codec>> MakeCodec(const std::string& spec) {
   if (spec.empty() || spec == "raw" || spec == "off" || spec == "none") {
     return std::shared_ptr<const Codec>();
@@ -171,14 +155,15 @@ Result<std::shared_ptr<const Codec>> MakeCodec(const std::string& spec) {
   if (spec == "identity") return MakeIdentityCodec();
   if (spec == "fp16") return MakeFp16Codec();
   if (spec.rfind("topk:", 0) == 0) {
-    const std::string arg = spec.substr(5);
-    char* end = nullptr;
-    const long long k = std::strtoll(arg.c_str(), &end, 10);
-    if (arg.empty() || end == nullptr || *end != '\0' || k < 1) {
+    const char* arg = spec.c_str() + 5;
+    const char* last = spec.c_str() + spec.size();
+    int64_t k = 0;
+    const auto [end, ec] = std::from_chars(arg, last, k);
+    if (ec != std::errc() || end != last || k < 1) {
       return Status::InvalidArgument("codec spec \"" + spec +
                                      "\": topk needs an integer k >= 1");
     }
-    return MakeTopKCodec(static_cast<int64_t>(k));
+    return MakeTopKCodec(k);
   }
   return Status::InvalidArgument(
       "unknown codec spec \"" + spec +

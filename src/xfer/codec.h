@@ -138,13 +138,6 @@ struct CodecConfig {
   }
   /// True when any flow names a codec (vs. all-raw).
   bool any() const;
-
-  /// Overlays the RATEL_CODEC_<FLOW> environment knobs onto `base`
-  /// (RATEL_CODEC_PARAM_FETCH, RATEL_CODEC_GRAD_STATE,
-  /// RATEL_CODEC_ACTIVATION_SPILL, RATEL_CODEC_CHECKPOINT,
-  /// RATEL_CODEC_DEFERRED_STATE), so any binary can flip codecs
-  /// without a rebuild — same pattern as RATEL_FAULT_*.
-  static CodecConfig FromEnv(CodecConfig base);
 };
 
 /// Parses one spec string. Returns a null pointer (no codec — raw

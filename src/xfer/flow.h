@@ -11,7 +11,7 @@ namespace ratel {
 /// Split out of transfer_engine.h so flow-keyed configuration (codec
 /// specs, fault scopes) can name flows without pulling in the engine.
 enum class FlowClass {
-  kParamFetch = 0,      // P16 swap-in before forward (M->G, §IV-A)
+  kParamFetch = 0,      // P32 fetch before forward, narrowed to P16 (§IV-A)
   kGradState,           // P32/OS32 stream of the out-of-core Adam (§IV-C)
   kActivationSpill,     // A16 swap-out/swap-in around backward (§IV-D)
   kCheckpoint,          // master-weight snapshots (beyond-paper traffic)

@@ -14,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -74,26 +73,27 @@ std::vector<Fp16> RandomGrads16(int64_t n, uint64_t seed) {
 // ---------- Env overlay ----------
 
 TEST(AsyncUpdateOptionsTest, FromEnvOverlaysTheKnobs) {
-  ::setenv("RATEL_ASYNC_OPTIM", "1", 1);
-  ::setenv("RATEL_ASYNC_HOT_FRACTION", "0.5", 1);
-  AsyncUpdateOptions base;
-  base.hot_fraction = 0.25;
-  const AsyncUpdateOptions on = AsyncUpdateOptions::FromEnv(base);
-  EXPECT_TRUE(on.async);
-  EXPECT_DOUBLE_EQ(on.hot_fraction, 0.5);
+  TrainerOptions on;
+  on.async_hot_fraction = 0.25;
+  ASSERT_TRUE(ApplyEnvKnobs({{"RATEL_ASYNC_OPTIM", "1"},
+                             {"RATEL_ASYNC_HOT_FRACTION", "0.5"}},
+                            &on)
+                  .ok());
+  EXPECT_TRUE(on.async_optimizer);
+  EXPECT_DOUBLE_EQ(on.async_hot_fraction, 0.5);
 
   // "0" forces sync even when the caller asked for async.
-  ::setenv("RATEL_ASYNC_OPTIM", "0", 1);
-  ::unsetenv("RATEL_ASYNC_HOT_FRACTION");
-  base.async = true;
-  const AsyncUpdateOptions off = AsyncUpdateOptions::FromEnv(base);
-  EXPECT_FALSE(off.async);
-  EXPECT_DOUBLE_EQ(off.hot_fraction, 0.25);  // untouched without the knob
-  ::unsetenv("RATEL_ASYNC_OPTIM");
+  TrainerOptions off;
+  off.async_optimizer = true;
+  ASSERT_TRUE(ApplyEnvKnobs({{"RATEL_ASYNC_OPTIM", "0"}}, &off).ok());
+  EXPECT_FALSE(off.async_optimizer);
+  EXPECT_DOUBLE_EQ(off.async_hot_fraction, 0.25);  // untouched without it
 
-  // Unset env leaves the base untouched.
-  const AsyncUpdateOptions same = AsyncUpdateOptions::FromEnv(base);
-  EXPECT_TRUE(same.async);
+  // An empty environment leaves the options untouched.
+  TrainerOptions same;
+  same.async_optimizer = true;
+  ASSERT_TRUE(ApplyEnvKnobs({}, &same).ok());
+  EXPECT_TRUE(same.async_optimizer);
 }
 
 // ---------- Importance partition ----------

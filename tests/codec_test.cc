@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -427,7 +426,7 @@ TEST(CodecSpecTest, NamedSpecsYieldTheRightCodec) {
 TEST(CodecSpecTest, BadSpecsAreInvalidArgument) {
   for (const char* spec :
        {"gzip", "topk", "topk:", "topk:0", "topk:-3", "topk:abc",
-        "identity "}) {
+        "topk: 32", "topk:+32", "identity "}) {
     auto codec = MakeCodec(spec);
     EXPECT_FALSE(codec.ok()) << spec;
     EXPECT_EQ(codec.status().code(), StatusCode::kInvalidArgument) << spec;
@@ -446,13 +445,14 @@ TEST(CodecSpecTest, RegistryCreateNamesTheBadFlow) {
 }
 
 TEST(CodecSpecTest, EnvKnobsOverlayOntoBaseConfig) {
-  ::setenv("RATEL_CODEC_ACTIVATION_SPILL", "fp16", 1);
-  ::setenv("RATEL_CODEC_GRAD_STATE", "topk:32", 1);
-  CodecConfig base;
-  base.spec(FlowClass::kCheckpoint) = "identity";  // no knob: must survive
-  const CodecConfig cfg = CodecConfig::FromEnv(base);
-  ::unsetenv("RATEL_CODEC_ACTIVATION_SPILL");
-  ::unsetenv("RATEL_CODEC_GRAD_STATE");
+  TrainerOptions options;
+  // No knob for the checkpoint flow: its spec must survive.
+  options.codec.spec(FlowClass::kCheckpoint) = "identity";
+  ASSERT_TRUE(ApplyEnvKnobs({{"RATEL_CODEC_ACTIVATION_SPILL", "fp16"},
+                             {"RATEL_CODEC_GRAD_STATE", "topk:32"}},
+                            &options)
+                  .ok());
+  const CodecConfig& cfg = options.codec;
 
   EXPECT_EQ(cfg.spec(FlowClass::kActivationSpill), "fp16");
   EXPECT_EQ(cfg.spec(FlowClass::kGradState), "topk:32");

@@ -71,6 +71,17 @@ checkpoint::TrainState MakeState(int64_t step) {
   return state;
 }
 
+// The save calls take views; `state` must outlive the returned view.
+checkpoint::TrainStateView ViewOf(const checkpoint::TrainState& state) {
+  checkpoint::TrainStateView view;
+  view.step = state.step;
+  for (const checkpoint::TensorState& t : state.tensors) {
+    view.tensors.push_back({t.name, t.adam_step, t.p32.data(), t.m.data(),
+                            t.v.data(), static_cast<int64_t>(t.p32.size())});
+  }
+  return view;
+}
+
 int64_t FileSize(const std::string& path) {
   struct stat st;
   return ::stat(path.c_str(), &st) == 0 ? st.st_size : -1;
@@ -113,7 +124,7 @@ TEST_F(CheckpointV2Test, SaveStateLoadStateRoundTripsBitwise) {
   ASSERT_TRUE(::mkdir(dir.c_str(), 0755) == 0 || errno == EEXIST);
   const std::string path = dir + "/state.ckpt";
   const checkpoint::TrainState state = MakeState(42);
-  ASSERT_TRUE(checkpoint::SaveState(state, path).ok());
+  ASSERT_TRUE(checkpoint::SaveStateViews(ViewOf(state), path).ok());
   // The shadow file was renamed away: only the published name remains.
   EXPECT_EQ(FileSize(path + ".tmp"), -1);
 
@@ -134,7 +145,7 @@ TEST_F(CheckpointV2Test, TruncatedFileIsDetectedAsDataLoss) {
   const std::string dir = tmp.Sub("torn");
   ASSERT_TRUE(::mkdir(dir.c_str(), 0755) == 0 || errno == EEXIST);
   const std::string path = dir + "/state.ckpt";
-  ASSERT_TRUE(checkpoint::SaveState(MakeState(7), path).ok());
+  ASSERT_TRUE(checkpoint::SaveStateViews(ViewOf(MakeState(7)), path).ok());
   TruncateFile(path, /*drop_bytes=*/33);
   const auto loaded = checkpoint::LoadState(path);
   ASSERT_FALSE(loaded.ok());
@@ -145,7 +156,7 @@ TEST_F(CheckpointV2Test, CorruptedPayloadByteFailsTheShardChecksum) {
   const std::string dir = tmp.Sub("rot");
   ASSERT_TRUE(::mkdir(dir.c_str(), 0755) == 0 || errno == EEXIST);
   const std::string path = dir + "/state.ckpt";
-  ASSERT_TRUE(checkpoint::SaveState(MakeState(7), path).ok());
+  ASSERT_TRUE(checkpoint::SaveStateViews(ViewOf(MakeState(7)), path).ok());
   // Flip one bit in the middle of a tensor payload: the size and
   // structure still parse, only the CRC can catch it.
   FlipByte(path, FileSize(path) / 2);
@@ -158,7 +169,7 @@ TEST_F(CheckpointV2Test, BadMagicIsDataLossNotAParseAccident) {
   const std::string dir = tmp.Sub("magic");
   ASSERT_TRUE(::mkdir(dir.c_str(), 0755) == 0 || errno == EEXIST);
   const std::string path = dir + "/state.ckpt";
-  ASSERT_TRUE(checkpoint::SaveState(MakeState(1), path).ok());
+  ASSERT_TRUE(checkpoint::SaveStateViews(ViewOf(MakeState(1)), path).ok());
   FlipByte(path, 0);
   EXPECT_EQ(checkpoint::LoadState(path).status().code(),
             StatusCode::kDataLoss);
@@ -166,9 +177,9 @@ TEST_F(CheckpointV2Test, BadMagicIsDataLossNotAParseAccident) {
 
 TEST_F(CheckpointV2Test, LoadLatestFallsBackPastATornNewestEpoch) {
   const std::string dir = tmp.Sub("fallback");
-  ASSERT_TRUE(checkpoint::SaveVersioned(dir, MakeState(3)).ok());
-  ASSERT_TRUE(checkpoint::SaveVersioned(dir, MakeState(5)).ok());
-  ASSERT_TRUE(checkpoint::SaveVersioned(dir, MakeState(9)).ok());
+  ASSERT_TRUE(checkpoint::SaveVersionedViews(dir, ViewOf(MakeState(3))).ok());
+  ASSERT_TRUE(checkpoint::SaveVersionedViews(dir, ViewOf(MakeState(5))).ok());
+  ASSERT_TRUE(checkpoint::SaveVersionedViews(dir, ViewOf(MakeState(9))).ok());
   // Power cut "during" epoch 9: the newest file is torn. LoadLatest
   // must detect it via checksums and resume from epoch 5 instead.
   TruncateFile(checkpoint::VersionedPath(dir, 9), /*drop_bytes=*/100);
@@ -189,8 +200,8 @@ TEST_F(CheckpointV2Test, LoadLatestFallsBackPastATornNewestEpoch) {
 // 100 GB of p32, m and v), so LoadLatest falls back to the older epoch.
 TEST_F(CheckpointV2Test, CorruptElementCountFallsBackToPreviousEpoch) {
   const std::string dir = tmp.Sub("bign");
-  ASSERT_TRUE(checkpoint::SaveVersioned(dir, MakeState(0)).ok());
-  ASSERT_TRUE(checkpoint::SaveVersioned(dir, MakeState(1)).ok());
+  ASSERT_TRUE(checkpoint::SaveVersionedViews(dir, ViewOf(MakeState(0))).ok());
+  ASSERT_TRUE(checkpoint::SaveVersionedViews(dir, ViewOf(MakeState(1))).ok());
   // Magic 8, version 4, step 8, count 4, header CRC 4, then the first
   // shard's name length 4 and name "wte" 3: its n is the u64 at byte 35.
   const std::string path = checkpoint::VersionedPath(dir, 1);

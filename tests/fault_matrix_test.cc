@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -284,19 +283,18 @@ TEST_F(FaultMatrixTest, ZeroFaultConfigRunsCleanWithoutAnInjector) {
   EXPECT_EQ(c.backoff_seconds, 0.0);
 }
 
+// The RATEL_FAULT_* overlay reaches a real engine: faults land on the
+// named flows only.
 TEST_F(FaultMatrixTest, EnvKnobsOverlayOntoBaseConfig) {
-  ::setenv("RATEL_FAULT_SEED", "99", 1);
-  ::setenv("RATEL_FAULT_READ_ERROR_EVERY", "3", 1);
-  ::setenv("RATEL_FAULT_LATENCY_SPIKE_MS", "2.5", 1);
-  ::setenv("RATEL_FAULT_FLOWS", "param_fetch,checkpoint", 1);
-  FaultConfig base;
-  base.torn_write_every = 7;  // not overridden by any knob: must survive
-  const FaultConfig cfg = FaultConfig::FromEnv(base);
-  ::unsetenv("RATEL_FAULT_SEED");
-  ::unsetenv("RATEL_FAULT_READ_ERROR_EVERY");
-  ::unsetenv("RATEL_FAULT_LATENCY_SPIKE_MS");
-  ::unsetenv("RATEL_FAULT_FLOWS");
-
+  TrainerOptions trainer;
+  trainer.fault.torn_write_every = 7;  // no knob overrides it: must survive
+  ASSERT_TRUE(ApplyEnvKnobs({{"RATEL_FAULT_SEED", "99"},
+                             {"RATEL_FAULT_READ_ERROR_EVERY", "3"},
+                             {"RATEL_FAULT_LATENCY_SPIKE_MS", "2.5"},
+                             {"RATEL_FAULT_FLOWS", "param_fetch,checkpoint"}},
+                            &trainer)
+                  .ok());
+  const FaultConfig& cfg = trainer.fault;
   EXPECT_EQ(cfg.seed, 99u);
   EXPECT_EQ(cfg.read_error_every, 3);
   EXPECT_DOUBLE_EQ(cfg.latency_spike_s, 2.5e-3);
@@ -306,15 +304,44 @@ TEST_F(FaultMatrixTest, EnvKnobsOverlayOntoBaseConfig) {
       (1u << static_cast<int>(FlowClass::kCheckpoint));
   EXPECT_EQ(cfg.flow_mask, want_mask);
   EXPECT_TRUE(cfg.enabled());
+
+  TransferOptions opts = FastRetryOptions(tmp.Sub("env_overlay"));
+  opts.fault = cfg;
+  opts.fault.torn_write_every = 0;
+  auto engine = TransferEngine::Open(opts);
+  ASSERT_TRUE(engine.ok());
+  (*engine)->fault_injector()->SetSleepFn([](double) {});
+  const std::vector<uint8_t> data = BlobData(0);
+  std::vector<uint8_t> out(kBlobBytes);
+  for (int i = 0; i < kNumBlobs; ++i) {
+    const std::string key = "t/" + std::to_string(i);
+    ASSERT_TRUE((*engine)
+                    ->Write(FlowClass::kGradState, key, data.data(), kBlobBytes)
+                    .ok());
+    ASSERT_TRUE(
+        (*engine)->Read(FlowClass::kGradState, key, out.data(), kBlobBytes)
+            .ok());
+  }
+  EXPECT_EQ((*engine)->fault_injector()->counts().read_errors, 0);
+  for (int i = 0; i < kNumBlobs; ++i) {
+    const std::string key = "t/" + std::to_string(i);
+    ASSERT_TRUE(
+        (*engine)->Read(FlowClass::kParamFetch, key, out.data(), kBlobBytes)
+            .ok());
+    EXPECT_EQ(out, data);
+  }
+  EXPECT_GT((*engine)->fault_injector()->counts().read_errors, 0);
+  EXPECT_GT((*engine)->stats().Flow(FlowClass::kParamFetch).retries, 0);
+  EXPECT_EQ((*engine)->stats().Flow(FlowClass::kGradState).retries, 0);
 }
 
 TEST_F(FaultMatrixTest, EnvFlowListParsesDeferredState) {
-  ::setenv("RATEL_FAULT_WRITE_ERROR_EVERY", "2", 1);
-  ::setenv("RATEL_FAULT_FLOWS", "deferred_state", 1);
-  const FaultConfig cfg = FaultConfig::FromEnv(FaultConfig{});
-  ::unsetenv("RATEL_FAULT_WRITE_ERROR_EVERY");
-  ::unsetenv("RATEL_FAULT_FLOWS");
-  EXPECT_EQ(cfg.flow_mask,
+  TrainerOptions trainer;
+  ASSERT_TRUE(ApplyEnvKnobs({{"RATEL_FAULT_WRITE_ERROR_EVERY", "2"},
+                             {"RATEL_FAULT_FLOWS", "deferred_state"}},
+                            &trainer)
+                  .ok());
+  EXPECT_EQ(trainer.fault.flow_mask,
             1u << static_cast<int>(FlowClass::kDeferredState));
 }
 

@@ -6,7 +6,6 @@
 #include "runtime/job_manager.h"
 
 #include <gtest/gtest.h>
-#include <stdlib.h>
 
 #include <chrono>
 #include <condition_variable>
@@ -460,8 +459,6 @@ TEST_F(JobManagerTest, PreemptingOneJobLeavesAnotherJobsTicketsWaitable) {
 TEST_F(JobManagerTest, EnvOverlaysApplyByJobName) {
   // A tight in-flight quota overlay exercises the backpressure path
   // end to end; training must still complete correctly under it.
-  ASSERT_EQ(setenv("RATEL_TENANT_WEIGHT", "quotajob=5,other=2", 1), 0);
-  ASSERT_EQ(setenv("RATEL_TENANT_INFLIGHT_QUOTA", "quotajob=65536", 1), 0);
   auto manager_or = JobManager::Create(ManagerOptions(tmp.Sub("envoverlay")));
   ASSERT_TRUE(manager_or.ok());
   JobManager& manager = **manager_or;
@@ -470,10 +467,16 @@ TEST_F(JobManagerTest, EnvOverlaysApplyByJobName) {
   spec.model = SmallConfig();
   spec.batch = 2;
   spec.steps = 2;
+  ASSERT_TRUE(
+      ApplyEnvKnobs({{"RATEL_TENANT_WEIGHT", "quotajob=5,other=2"},
+                     {"RATEL_TENANT_INFLIGHT_QUOTA", "quotajob=65536"}},
+                    &spec)
+          .ok());
+  EXPECT_EQ(spec.weight, 5);
+  EXPECT_EQ(spec.quota.inflight_bytes, 65536);
+  EXPECT_EQ(spec.quota.dram_bytes, 0);
   ASSERT_TRUE(manager.Submit(spec).ok());
   ASSERT_TRUE(manager.WaitAll().ok());
-  unsetenv("RATEL_TENANT_WEIGHT");
-  unsetenv("RATEL_TENANT_INFLIGHT_QUOTA");
   const JobManagerStats stats = manager.Stats();
   EXPECT_EQ(stats.jobs[0].state, JobState::kFinished);
   EXPECT_EQ(stats.jobs[0].steps_done, 2);

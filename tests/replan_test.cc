@@ -21,7 +21,6 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -422,20 +421,16 @@ TEST(ReplannerTest, CooldownSpacesBackToBackResolves) {
 }
 
 TEST(ReplanConfigTest, EnvKnobsOverlayOntoBase) {
-  ::setenv("RATEL_REPLAN", "1", 1);
-  ::setenv("RATEL_REPLAN_THRESHOLD_PCT", "35", 1);
-  ::setenv("RATEL_REPLAN_HYSTERESIS", "4", 1);
-  ::setenv("RATEL_REPLAN_COOLDOWN", "7", 1);
-  ::setenv("RATEL_REPLAN_EWMA_ALPHA", "0.25", 1);
-  ::setenv("RATEL_REPLAN_WINDOWS", "8", 1);
-  const ReplanConfig cfg = ReplanConfig::FromEnv(ReplanConfig{});
-  ::unsetenv("RATEL_REPLAN");
-  ::unsetenv("RATEL_REPLAN_THRESHOLD_PCT");
-  ::unsetenv("RATEL_REPLAN_HYSTERESIS");
-  ::unsetenv("RATEL_REPLAN_COOLDOWN");
-  ::unsetenv("RATEL_REPLAN_EWMA_ALPHA");
-  ::unsetenv("RATEL_REPLAN_WINDOWS");
-
+  TrainerOptions options;
+  ASSERT_TRUE(ApplyEnvKnobs({{"RATEL_REPLAN", "1"},
+                             {"RATEL_REPLAN_THRESHOLD_PCT", "35"},
+                             {"RATEL_REPLAN_HYSTERESIS", "4"},
+                             {"RATEL_REPLAN_COOLDOWN", "7"},
+                             {"RATEL_REPLAN_EWMA_ALPHA", "0.25"},
+                             {"RATEL_REPLAN_WINDOWS", "8"}},
+                            &options)
+                  .ok());
+  const ReplanConfig& cfg = options.replan;
   EXPECT_TRUE(cfg.enabled);
   EXPECT_DOUBLE_EQ(cfg.deviation_threshold, 0.35);
   EXPECT_EQ(cfg.hysteresis_windows, 4);
@@ -444,11 +439,10 @@ TEST(ReplanConfigTest, EnvKnobsOverlayOntoBase) {
   EXPECT_EQ(cfg.window_capacity, 8);
 
   // RATEL_REPLAN=0 force-disables a programmatically armed config.
-  ::setenv("RATEL_REPLAN", "0", 1);
-  ReplanConfig armed;
-  armed.enabled = true;
-  EXPECT_FALSE(ReplanConfig::FromEnv(armed).enabled);
-  ::unsetenv("RATEL_REPLAN");
+  TrainerOptions armed;
+  armed.replan.enabled = true;
+  ASSERT_TRUE(ApplyEnvKnobs({{"RATEL_REPLAN", "0"}}, &armed).ok());
+  EXPECT_FALSE(armed.replan.enabled);
 }
 
 // ---------- Stripe death degrades the array's channels ----------
@@ -777,15 +771,16 @@ TEST_F(ReplanTrainerTest, PartialSpillSetIsLossEquivalentToSpillEverything) {
 }
 
 TEST_F(ReplanTrainerTest, EnvKnobsArmTheLoopOnAnUnmodifiedTrainer) {
-  ::setenv("RATEL_REPLAN", "1", 1);
-  ::setenv("RATEL_REPLAN_THRESHOLD_PCT", "1000000", 1);  // observer-only
   ag::TinyGpt model(TinyConfig(), 74);
   TrainerOptions opts;  // replan left at its disabled default
   opts.store_dir = tmp.Sub("env_arm");
   opts.spill_activations = true;
+  ASSERT_TRUE(ApplyEnvKnobs({{"RATEL_REPLAN", "1"},
+                             // observer-only
+                             {"RATEL_REPLAN_THRESHOLD_PCT", "1000000"}},
+                            &opts)
+                  .ok());
   auto trainer = RatelTrainer::Create(&model, opts);
-  ::unsetenv("RATEL_REPLAN");
-  ::unsetenv("RATEL_REPLAN_THRESHOLD_PCT");
   ASSERT_TRUE(trainer.ok());
 
   SyntheticDataset ds(SyntheticTask::kAffineMap, 32, 8, 12);

@@ -24,7 +24,9 @@
 # inside the I/O workers' finalize hooks, concurrent with retries — or
 # `replan`, the online re-planning loop whose FlowObserver windows race
 # the engine's workers and whose hot-swaps land between steps while the
-# async optimizer still holds deferred epochs in flight).
+# async optimizer still holds deferred epochs in flight) — or `config`,
+# the RATEL_* knob table's parsers, which read input from outside the
+# program (run it under address and undefined).
 # Without one the full suite runs under every sanitizer, which includes
 # the xfer, tenant, codec, and replan labels. The replan label also rides the
 # determinism label, so its bitwise-identity assertions run under both
