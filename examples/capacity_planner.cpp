@@ -13,6 +13,7 @@
 // concurrent fine-tuning jobs the box actually hosts before the next
 // one queues.
 
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -28,6 +29,7 @@
 #include "hw/catalog.h"
 #include "model/transformer_config.h"
 #include "runtime/job_manager.h"
+#include "tools/flag_parser.h"
 
 namespace {
 
@@ -96,13 +98,21 @@ int main(int argc, char** argv) {
   int jobs = 0;
   int arg_base = 1;
   if (argc > 2 && std::strcmp(argv[1], "--jobs") == 0) {
-    jobs = std::atoi(argv[2]);
+    jobs =
+        static_cast<int>(tools::ParseIntOrExit("--jobs", argv[2], 1, 1024));
     arg_base = 3;
   }
   std::string gpu_name = argc > arg_base ? argv[arg_base] : "4090";
   const int64_t mem_gib =
-      argc > arg_base + 1 ? std::atoll(argv[arg_base + 1]) : 256;
-  const int ssds = argc > arg_base + 2 ? std::atoi(argv[arg_base + 2]) : 12;
+      argc > arg_base + 1
+          ? tools::ParseIntOrExit("memory (GiB)", argv[arg_base + 1], 0,
+                                  INT_MAX)
+          : 256;
+  const int ssds =
+      argc > arg_base + 2
+          ? static_cast<int>(tools::ParseIntOrExit(
+                "SSD count", argv[arg_base + 2], 0, 1024))
+          : 12;
 
   GpuSpec gpu = catalog::Rtx4090();
   if (gpu_name == "3090") gpu = catalog::Rtx3090();

@@ -6,6 +6,7 @@
 // (without the GPT-specific trainer) to show the runtime API's
 // generality.
 
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <iostream>
@@ -17,13 +18,17 @@
 #include "common/units.h"
 #include "runtime/async_update_engine.h"
 #include "runtime/thread_pool.h"
+#include "tools/flag_parser.h"
 #include "xfer/transfer_engine.h"
 
 int main(int argc, char** argv) {
   using namespace ratel;
 
   int steps = 150;
-  if (argc > 1) steps = std::atoi(argv[1]);
+  if (argc > 1) {
+    steps =
+        static_cast<int>(tools::ParseIntOrExit("steps", argv[1], 0, INT_MAX));
+  }
 
   ag::TinyDitConfig cfg;
   cfg.patch_dim = 8;
@@ -91,8 +96,8 @@ int main(int argc, char** argv) {
           for (size_t i = 0; i < g16.size(); ++i) {
             g16[i] = FloatToHalf(var.grad()[i]);
           }
-          pipeline.Submit([&adam, name, g = std::move(g16)] {
-            RATEL_CHECK_OK(adam.StepTensor(name, g));
+          pipeline.Submit([&adam, name, g = std::move(g16)]() mutable {
+            RATEL_CHECK_OK(adam.StepTensor(name, std::move(g)));
           });
         }
       }
@@ -103,8 +108,8 @@ int main(int argc, char** argv) {
       for (size_t i = 0; i < g16.size(); ++i) {
         g16[i] = FloatToHalf(var.grad()[i]);
       }
-      pipeline.Submit([&adam, name, g = std::move(g16)] {
-        RATEL_CHECK_OK(adam.StepTensor(name, g));
+      pipeline.Submit([&adam, name, g = std::move(g16)]() mutable {
+        RATEL_CHECK_OK(adam.StepTensor(name, std::move(g)));
       });
     }
     pipeline.Wait();

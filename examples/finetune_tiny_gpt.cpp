@@ -12,6 +12,7 @@
 // then writes a checkpoint of the fp32 master weights.
 
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -24,6 +25,7 @@
 #include "runtime/compute_pool.h"
 #include "runtime/dataset.h"
 #include "runtime/ratel_trainer.h"
+#include "tools/flag_parser.h"
 
 int main(int argc, char** argv) {
   using namespace ratel;
@@ -32,9 +34,11 @@ int main(int argc, char** argv) {
   int steps = 120;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      SetComputeThreads(std::atoi(argv[++i]));
+      SetComputeThreads(static_cast<int>(
+          tools::ParseIntOrExit("--threads", argv[++i], 1, 1024)));
     } else {
-      steps = std::atoi(argv[i]);
+      steps = static_cast<int>(
+          tools::ParseIntOrExit("steps", argv[i], 0, INT_MAX));
     }
   }
   std::cout << "Compute threads: " << ComputeThreads() << "\n";

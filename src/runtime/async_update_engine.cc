@@ -88,7 +88,7 @@ void AsyncUpdateEngine::ReaperLoop() {
     }
     {
       std::lock_guard<std::mutex> lock(mu_);
-      pending.meta->writes_inflight = false;
+      --pending.meta->writes_inflight;
       if (!status.ok() && pending.meta->epoch_status.ok()) {
         pending.meta->epoch_status = status;
       }
@@ -149,8 +149,8 @@ Status AsyncUpdateEngine::DrainMetaLocked(std::unique_lock<std::mutex>& lock,
   // *resolved* writes: harden to the durable barrier.
   const bool durable = drain_needs_durable();
   auto ready = [&meta, durable] {
-    return !meta.epoch_pending &&
-           !((durable || meta.epoch_durable_only) && meta.writes_inflight);
+    return !meta.epoch_pending && !((durable || meta.epoch_durable_only) &&
+                                    meta.writes_inflight > 0);
   };
   if (!ready()) {
     ++stats_.drain_waits;
@@ -162,7 +162,7 @@ Status AsyncUpdateEngine::DrainMetaLocked(std::unique_lock<std::mutex>& lock,
 }
 
 Status AsyncUpdateEngine::StepTensor(const std::string& name,
-                                     const std::vector<Fp16>& grads16,
+                                     std::vector<Fp16> grads16,
                                      float grad_unscale) {
   TensorMeta* meta = nullptr;
   int64_t step = 0;
@@ -240,9 +240,9 @@ Status AsyncUpdateEngine::StepTensor(const std::string& name,
     meta->epoch_pending = true;
     ++stats_.deferred_epochs;
   }
-  // The grads are copied for the epoch (2 bytes/param — the price of
-  // returning before the tail is applied); the buffers are shared refs.
-  epochs_->Submit([this, meta, name, step, n, grads = grads16,
+  // The epoch takes over the caller's grads and shares the buffers by
+  // reference: nothing is copied to return before the tail is applied.
+  epochs_->Submit([this, meta, name, step, n, grads = std::move(grads16),
                    part = std::move(part), p32_in = std::move(p32_in),
                    m_in = std::move(m_in), v_in = std::move(v_in),
                    p32_out = std::move(p32_out), m_out = std::move(m_out),
@@ -264,17 +264,11 @@ void AsyncUpdateEngine::RunEpoch(TensorMeta* meta, const std::string& name,
   // Epoch workers run outside any caller tenant scope; attribute their
   // deferred writebacks to the optimizer's own tenant.
   ScopedTenant tenant_scope(options_.tenant);
-  {
-    // Same-key store ordering: the previous epoch's writes must have
-    // resolved before this epoch's are submitted, or the store could
-    // land them out of order. (The foreground only enqueues an epoch
-    // after draining the previous one, so this blocks only while the
-    // write channel still drains the tensor's previous step.)
-    std::unique_lock<std::mutex> lock(mu_);
-    epoch_cv_.wait(lock, [meta] { return !meta->writes_inflight; });
-  }
-  // Clock the epoch's useful work only — the ordering wait above idles
-  // on the channel and would double-count its drain across workers.
+  // No wait for the previous epoch's store writes: the foreground
+  // enqueues this epoch only after the previous one published (its
+  // SubmitWrite calls returned), and the engine orders same-key writes
+  // itself — a previous write still queued is absorbed by this epoch's,
+  // one in service is waited out inside SubmitWrite.
   const auto start = std::chrono::steady_clock::now();
   // Apply the deferred tail with the exact (step, grads, state) inputs
   // of the foreground's hot pass — elementwise Adam makes the combined
@@ -296,7 +290,7 @@ void AsyncUpdateEngine::RunEpoch(TensorMeta* meta, const std::string& name,
   // bytes/param) as background kDeferredState traffic — a
   // latency-critical param fetch can always overtake these in the
   // scheduler.
-  const std::vector<TransferEngine::Ticket> writes = {
+  std::vector<TransferEngine::Ticket> writes = {
       engine_->SubmitWrite(FlowClass::kDeferredState, P32Key(name),
                            std::move(p32_out)),
       engine_->SubmitWrite(FlowClass::kDeferredState, MomKey(name),
@@ -341,14 +335,15 @@ void AsyncUpdateEngine::RunEpoch(TensorMeta* meta, const std::string& name,
     // never dam up the epoch queue behind one in-flight writeback.
     std::lock_guard<std::mutex> lock(mu_);
     meta->epoch_pending = false;
-    meta->writes_inflight = true;
+    ++meta->writes_inflight;
     meta->epoch_durable_only = !resident;
     // Only tier-backed epochs count as *fallbacks*; with no DRAM tier
     // at all, every drain is durable by construction.
     if (have_tier && !resident) ++stats_.durable_fallback_epochs;
-    reap_queue_.push_back(PendingWrites{meta, writes, std::move(pinned)});
-    // The epoch's own wall time (ordering wait + tail kernel + write
-    // submission); the reaper adds the store-drain wait separately.
+    reap_queue_.push_back(
+        PendingWrites{meta, std::move(writes), std::move(pinned)});
+    // The epoch's own wall time (tail kernel + write submission); the
+    // reaper adds the store-drain wait separately.
     stats_.background_seconds += SecondsSince(start);
   }
   epoch_cv_.notify_all();
@@ -473,7 +468,7 @@ Status AsyncUpdateEngine::ImportState(const std::string& name, int64_t step,
       // restored state at the store level.
       TensorMeta& meta = it->second;
       epoch_cv_.wait(lock, [&meta] {
-        return !meta.epoch_pending && !meta.writes_inflight;
+        return !meta.epoch_pending && meta.writes_inflight == 0;
       });
       meta.step = step;
       meta.epoch_status = Status::Ok();  // superseded by the import
@@ -532,7 +527,7 @@ Status AsyncUpdateEngine::DrainAll() const {
     // Full durable barrier regardless of the DRAM tier: this is the
     // checkpoint / shutdown fence.
     epoch_cv_.wait(lock, [&meta] {
-      return !meta.epoch_pending && !meta.writes_inflight;
+      return !meta.epoch_pending && meta.writes_inflight == 0;
     });
     if (!meta.epoch_status.ok() && first_error.ok()) {
       first_error = meta.epoch_status;

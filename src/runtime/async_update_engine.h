@@ -91,8 +91,11 @@ struct AsyncUpdateOptions {
 /// never admitted), that epoch's barrier hardens to "durable" (store
 /// writes resolved); without a DRAM tier every barrier is durable. Both
 /// preserve the engine's read-after-resolved-write ordering contract.
-/// Same-key store writes of consecutive epochs are serialized
-/// epoch-to-epoch, never reordered.
+/// Consecutive epochs of a tensor do not wait for each other's store
+/// writes: the engine orders same-key writes itself — an older epoch's
+/// write still queued is absorbed by the newer one (it never reaches
+/// the store), one already in service is waited out at submit — so the
+/// store never lands them out of order and ends with the newest state.
 ///
 /// Traffic tagging: foreground state reads stay FlowClass::kGradState,
 /// the trainer's forward-stage P32 fetches FlowClass::kParamFetch,
@@ -142,7 +145,9 @@ class AsyncUpdateEngine {
   /// once the hot chunks are applied and the tail epoch is enqueued; a
   /// deferred-write failure of the previous epoch surfaces here (or at
   /// the next drain).
-  Status StepTensor(const std::string& name, const std::vector<Fp16>& grads16,
+  /// Takes `grads16` by value: the trainer hands over its vector, and
+  /// an async step moves it into the deferred epoch instead of copying.
+  Status StepTensor(const std::string& name, std::vector<Fp16> grads16,
                     float grad_unscale = 1.0f);
 
   /// Engine key of the P32 blob of `name` (key namespace applied, e.g.
@@ -197,9 +202,10 @@ class AsyncUpdateEngine {
     /// A deferred epoch is enqueued and has not yet published its
     /// writebacks tier-wide.
     bool epoch_pending = false;
-    /// The epoch's writebacks are published but their store writes have
-    /// not resolved yet.
-    bool writes_inflight = false;
+    /// Epoch write sets published whose store writes have not all
+    /// resolved yet. Consecutive epochs of a tensor may overlap here:
+    /// the engine absorbs or orders their same-key writes.
+    int writes_inflight = 0;
     /// The pending epoch could not pin all three written keys in the
     /// DRAM tier, so its drain barrier is durable regardless of the
     /// tier: a post-drain read might miss and hit the store, where only
@@ -250,7 +256,7 @@ class AsyncUpdateEngine {
   };
 
   /// Resolves queued write-sets in submission (FIFO) order, releasing
-  /// the epoch's DRAM-tier pins, flipping each tensor's
+  /// the epoch's DRAM-tier pins, decrementing each tensor's
   /// `writes_inflight`, and recording sticky errors.
   void ReaperLoop();
 

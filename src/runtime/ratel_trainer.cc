@@ -436,7 +436,7 @@ Result<float> RatelTrainer::TrainStep(const std::vector<int64_t>& ids,
     // Handlers run on the pipeline pool, outside the step thread's
     // tenant scope — re-establish it per invocation.
     ScopedTenant handler_scope(options_.tenant);
-    const Status s = adam_->StepTensor(name, grads, grad_unscale);
+    const Status s = adam_->StepTensor(name, std::move(grads), grad_unscale);
     if (!s.ok()) {
       std::lock_guard<std::mutex> lock(err_mu);
       if (first_error.ok()) first_error = s;
@@ -509,7 +509,7 @@ Result<float> RatelTrainer::TrainStep(const std::vector<int64_t>& ids,
   stats.compute_s = t_compute - t_fetch;
   stats.optimizer_s = t_opt - t_compute;
   stats.total_s = t_opt - t0;
-  stats.xfer = Delta(engine_->stats(), xfer0);
+  const TransferStats xfer = Delta(engine_->stats(), xfer0);
   // Deferred-update breakdown: this step's pipeline counter delta. The
   // drain stalls of the prior step's epochs land in this step's fetch
   // stage, so overlap = epoch wall time minus what actually stalled us.
@@ -524,13 +524,12 @@ Result<float> RatelTrainer::TrainStep(const std::vector<int64_t>& ids,
         std::max(0.0, (update1.background_seconds - update0.background_seconds) -
                           stats.drain_stall_s);
   }
-  // Legacy totals: the parameter + model-state legs (activation traffic
-  // is reported via activation_bytes_spilled and the xfer breakdown).
-  stats.bytes_read = stats.xfer.Flow(FlowClass::kParamFetch).bytes_read +
-                     stats.xfer.Flow(FlowClass::kGradState).bytes_read;
-  stats.bytes_written =
-      stats.xfer.Flow(FlowClass::kParamFetch).bytes_written +
-      stats.xfer.Flow(FlowClass::kGradState).bytes_written;
+  // The parameter + model-state legs (activation traffic is reported via
+  // activation_bytes_spilled; transfer_stats() has every flow).
+  stats.bytes_read = xfer.Flow(FlowClass::kParamFetch).bytes_read +
+                     xfer.Flow(FlowClass::kGradState).bytes_read;
+  stats.bytes_written = xfer.Flow(FlowClass::kParamFetch).bytes_written +
+                        xfer.Flow(FlowClass::kGradState).bytes_written;
   stats.loss = mean_loss;
   // --- Step boundary: every read and optimizer write this step issued
   // has been waited above, so swapping the schedule here can never

@@ -151,9 +151,6 @@ struct StepStats {
   int64_t bytes_read = 0;
   int64_t bytes_written = 0;
   int64_t activation_bytes_spilled = 0;  // A16 swapped out and back
-  /// Full per-flow transfer delta of this step: every byte the engine
-  /// moved, keyed by FlowClass, plus DRAM-tier hit/miss counts.
-  TransferStats xfer;
   /// ---- Online re-planning (all zero with the replanner disabled) ----
   /// Re-solved plans installed so far this run (cumulative).
   int64_t replans = 0;
@@ -195,7 +192,8 @@ Status ApplyEnvKnobs(const knobs::Env& env, TrainerOptions* options);
 ///     under throttled storage.
 ///
 /// All data movement goes through one TransferEngine, so every byte of
-/// the step is attributed to a FlowClass (StepStats::xfer).
+/// the step is attributed to a FlowClass (transfer_stats(); Delta two
+/// snapshots for one step's breakdown).
 class RatelTrainer {
  public:
   /// Opens the transfer engine and registers every model parameter

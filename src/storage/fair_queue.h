@@ -89,6 +89,27 @@ class FairQueue {
     }
   }
 
+  /// Removes the first queued item (in rotation order, FIFO within a
+  /// lane) that satisfies `pred`, moving it to `*out`. The item was never
+  /// served: its bytes are neither charged to the lane's deficit nor
+  /// counted as served. A lane the erase empties leaves the rotation
+  /// exactly as a pop would. Returns false when nothing matches.
+  template <typename Pred>
+  bool EraseIf(Pred&& pred, T* out) {
+    for (int tenant : rotation_) {
+      Lane& lane = lanes_.at(tenant);
+      for (auto it = lane.q.begin(); it != lane.q.end(); ++it) {
+        if (!pred(it->item)) continue;
+        *out = std::move(it->item);
+        lane.q.erase(it);
+        --size_;
+        if (lane.q.empty()) Retire(lane);
+        return true;
+      }
+    }
+    return false;
+  }
+
   /// Cumulative bytes served (popped) per tenant, for share assertions.
   int64_t served_bytes(int tenant) const {
     auto it = lanes_.find(tenant);
@@ -126,20 +147,23 @@ class FairQueue {
     lane.deficit -= entry.size;
     lane.served_bytes += entry.size;
     --size_;
-    if (lane.q.empty()) {
-      // Leave the rotation; the deficit resets so a lane cannot bank
-      // credit (or debt) across idle periods.
-      lane.deficit = 0;
-      for (size_t i = 0; i < rotation_.size(); ++i) {
-        if (&lanes_.at(rotation_[i]) == &lane) {
-          rotation_.erase(rotation_.begin() + i);
-          if (cursor_ > i) --cursor_;
-          break;
-        }
-      }
-      if (!rotation_.empty()) cursor_ %= rotation_.size();
-    }
+    if (lane.q.empty()) Retire(lane);
     return std::move(entry.item);
+  }
+
+  /// Takes an emptied lane out of the rotation, keeping the cursor on
+  /// the lane it pointed at (or the next one). The deficit resets so a
+  /// lane cannot bank credit (or debt) across idle periods.
+  void Retire(Lane& lane) {
+    lane.deficit = 0;
+    for (size_t i = 0; i < rotation_.size(); ++i) {
+      if (&lanes_.at(rotation_[i]) == &lane) {
+        rotation_.erase(rotation_.begin() + i);
+        if (cursor_ > i) --cursor_;
+        break;
+      }
+    }
+    if (!rotation_.empty()) cursor_ %= rotation_.size();
   }
 
   int64_t quantum_;

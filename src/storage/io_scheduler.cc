@@ -152,6 +152,29 @@ IoScheduler::Ticket IoScheduler::SubmitRead(const std::string& key,
   return Enqueue(std::move(req));
 }
 
+bool IoScheduler::Withdraw(Ticket ticket) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto queued_write = [ticket](const Request& r) {
+      return r.ticket == ticket && r.is_write;
+    };
+    Request req;
+    if (!critical_.EraseIf(queued_write, &req) &&
+        !normal_.EraseIf(queued_write, &req) &&
+        !background_.EraseIf(queued_write, &req)) {
+      return false;
+    }
+    // Drop the payload and the callback's captures before the ticket
+    // resolves, in the order a worker keeps.
+    req.payload.reset();
+    req.on_complete = nullptr;
+    done_.emplace(ticket, Status::Ok());
+  }
+  // Waiters on the ticket, and Drain, may now proceed.
+  ticket_done_.notify_all();
+  return true;
+}
+
 IoResult IoScheduler::Execute(Request& req) {
   // Scope fault decisions (and any injected latency) to the request's
   // flow class for the whole attempt loop, channel time included.

@@ -177,6 +177,15 @@ class IoScheduler {
                     CompletionFn on_complete = nullptr, int flow_tag = -1,
                     int tenant_tag = 0, FinalizeFn finalize = nullptr);
 
+  /// Takes back a write that is still queued: it leaves its class and
+  /// tenant lane, never reaches the channel or the store, its completion
+  /// callback is dropped unrun, and its ticket resolves OK at once (a
+  /// later Wait returns Ok). Returns false — and changes nothing — for a
+  /// write already in service or resolved, for a read, and for an
+  /// unknown ticket. The transfer engine withdraws a write that a newer
+  /// same-key write supersedes before service (write absorption).
+  bool Withdraw(Ticket ticket);
+
   /// DWRR weight of `tenant` in every priority class (clamped >= 1;
   /// default 1). Takes effect for requests not yet served.
   void SetTenantWeight(int tenant, int weight);

@@ -81,6 +81,7 @@ TransferStats Delta(const TransferStats& later, const TransferStats& earlier) {
     out.bytes_written = a.bytes_written - b.bytes_written;
     out.bytes_from_cache = a.bytes_from_cache - b.bytes_from_cache;
     out.bytes_forwarded = a.bytes_forwarded - b.bytes_forwarded;
+    out.bytes_absorbed = a.bytes_absorbed - b.bytes_absorbed;
     out.cache_hits = a.cache_hits - b.cache_hits;
     out.cache_misses = a.cache_misses - b.cache_misses;
     out.read_seconds = a.read_seconds - b.read_seconds;
@@ -212,19 +213,33 @@ TransferEngine::Ticket TransferEngine::SubmitWriteImpl(
     encode_seconds = SecondsSince(enc0);
     payload.reset();
   }
-  {
-    // Same-key write ordering: the store must apply this write after the
-    // key's unresolved one, so wait that one out. From then until this
-    // write resolves, same-key reads that miss the DRAM tier are
-    // forwarded from its payload.
-    std::unique_lock<std::mutex> lock(mu_);
-    pending_cv_.wait(lock, [&] { return pending_writes_.count(key) == 0; });
-    pending_writes_.emplace(key, store_payload);
-  }
   AcquireInflight(tenant, store_bytes);
+  std::unique_lock<std::mutex> lock(mu_);
+  // Same-key write ordering: absorb if queued, wait if in service. A
+  // predecessor still in the scheduler queue is superseded before it
+  // cost any store time — withdraw it. One already in service is waited
+  // out, so the store applies the survivors in submission order.
+  bool absorbed = false;
+  for (auto it = pending_writes_.find(key); it != pending_writes_.end();
+       it = pending_writes_.find(key)) {
+    const PendingWrite& older = it->second;
+    if (sched_->Withdraw(older.io_ticket)) {
+      AccountLocked(older.tenant, older.flow, [&](FlowCounters& c) {
+        c.bytes_absorbed += older.logical_bytes;
+      });
+      inflight_bytes_[older.tenant] -= older.store_bytes;
+      pending_writes_.erase(it);
+      absorbed = true;
+      break;
+    }
+    pending_cv_.wait(lock);
+  }
+  // Submitted under mu_, so the forwarding entry and its scheduler ticket
+  // become visible to other same-key submitters together. The completion
+  // takes mu_ itself and therefore runs only after the entry exists.
   const auto start = std::chrono::steady_clock::now();
-  IoScheduler::Ticket io_ticket = sched_->SubmitWrite(
-      key, std::move(store_payload), FlowWritePriority(flow),
+  const IoScheduler::Ticket io_ticket = sched_->SubmitWrite(
+      key, store_payload, FlowWritePriority(flow),
       [this, flow, tenant, key, size, store_bytes,
        start](const IoResult& result) {
         // Hoisted out of the accounting lambda: AccountLocked applies it
@@ -233,7 +248,9 @@ TransferEngine::Ticket TransferEngine::SubmitWriteImpl(
         {
           std::lock_guard<std::mutex> lock(mu_);
           // The store holds this write's outcome now: later reads go
-          // there, and a queued same-key write may proceed.
+          // there, and a same-key write waiting at submit may proceed.
+          // The entry is this write's own: a newer one replaces it only
+          // by withdrawing this write, which drops this callback unrun.
           pending_writes_.erase(key);
           AccountLocked(tenant, flow, [&](FlowCounters& c) {
             ++c.writes;
@@ -256,7 +273,9 @@ TransferEngine::Ticket TransferEngine::SubmitWriteImpl(
         MaybeRescaleChannels();
       },
       static_cast<int>(flow), tenant);
-  std::lock_guard<std::mutex> lock(mu_);
+  pending_writes_.emplace(
+      key, PendingWrite{std::move(store_payload), io_ticket, flow, tenant,
+                        size, store_bytes});
   AccountLocked(tenant, flow, [&](FlowCounters& c) {
     c.bytes_copied += staging_copies * size;
     c.allocs_avoided += avoided;
@@ -265,8 +284,11 @@ TransferEngine::Ticket TransferEngine::SubmitWriteImpl(
       c.encode_seconds += encode_seconds;
     }
   });
-  Ticket ticket = next_ticket_++;
+  const Ticket ticket = next_ticket_++;
   inflight_.emplace(ticket, io_ticket);
+  lock.unlock();
+  // The absorbed write's quota bytes may unblock a submitter.
+  if (absorbed) inflight_cv_.notify_all();
   return ticket;
 }
 
@@ -304,7 +326,7 @@ bool TransferEngine::PendingPayload(const std::string& key,
   std::lock_guard<std::mutex> lock(mu_);
   auto it = pending_writes_.find(key);
   if (it == pending_writes_.end()) return false;
-  *payload = it->second;
+  *payload = it->second.payload;
   return true;
 }
 

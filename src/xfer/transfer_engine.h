@@ -48,6 +48,12 @@ struct FlowCounters {
   /// same-key write (store-to-load forwarding, no store I/O). Like
   /// cache hits, these reads stay out of encoded_bytes_read.
   int64_t bytes_forwarded = 0;
+  /// Logical bytes of writes withdrawn from the scheduler queue because
+  /// a newer same-key write superseded them before service (write
+  /// absorption). They never reach the store, so they stay out of
+  /// writes, bytes_written and encoded_bytes_written; the flow and
+  /// tenant are the absorbed write's own.
+  int64_t bytes_absorbed = 0;
   int64_t cache_hits = 0;
   int64_t cache_misses = 0;
   /// Summed submit-to-completion latency (queueing + service).
@@ -204,10 +210,14 @@ struct TransferOptions {
 /// while one is pending is served from that write's published payload
 /// (store-to-load forwarding; a codec'd flow CRC-checks and decodes the
 /// frame in memory, so the bytes equal a store round trip). A second
-/// write to a key whose previous write is unresolved waits for it at
-/// submit, so the store applies same-key writes in submission order.
-/// A write that fails still served the reads forwarded before it
-/// resolved; its error surfaces on its own ticket.
+/// write to a key whose previous write is unresolved absorbs it if it
+/// is still queued, and waits for it if it is in service: a queued
+/// predecessor is withdrawn from the scheduler (its ticket resolves OK,
+/// its bytes count as bytes_absorbed, it never reaches the store),
+/// while one already in service is waited out at submit. Either way
+/// the store applies the surviving same-key writes in submission order
+/// and ends with the newest. A write that fails still served the reads
+/// forwarded before it resolved; its error surfaces on its own ticket.
 ///
 /// Tenancy: every submit is additionally attributed to the calling
 /// thread's CurrentTenant() (see ScopedTenant). The tenant dimension
@@ -391,8 +401,9 @@ class TransferEngine {
   /// the pointer SubmitWrite staged it, 0 for a Buffer). When the flow has a
   /// codec, the logical bytes at `logical` are framed into a second
   /// pooled buffer and the *frame* goes to the store; `payload` may then
-  /// be empty when !KeepsLogicalPayload. Waits out an unresolved write
-  /// of the same key first, then records this one for forwarding.
+  /// be empty when !KeepsLogicalPayload. Absorbs a queued unresolved
+  /// write of the same key, or waits out one in service, then records
+  /// this one for forwarding.
   Ticket SubmitWriteImpl(FlowClass flow, const std::string& key,
                          const uint8_t* logical, int64_t size, Buffer payload,
                          int64_t staging_copies);
@@ -446,9 +457,19 @@ class TransferEngine {
   std::unordered_map<Ticket, Status> resolved_;
   // In-flight tickets map to the scheduler ticket doing the store I/O.
   std::unordered_map<Ticket, IoScheduler::Ticket> inflight_;
-  // Store-leg payload of each key's unresolved write (at most one per
-  // key: a second write waits on pending_cv_ until the first resolves).
-  std::unordered_map<std::string, Buffer> pending_writes_;
+  // Each key's unresolved write (at most one per key: a second write
+  // absorbs a queued one, or waits on pending_cv_ for one in service).
+  // An entry is created together with its scheduler ticket, under mu_,
+  // so a concurrent writer only ever withdraws a ticket that exists.
+  struct PendingWrite {
+    Buffer payload;  // store-leg payload (raw bytes or codec frame)
+    IoScheduler::Ticket io_ticket = 0;
+    FlowClass flow = FlowClass::kParamFetch;
+    TenantId tenant = kDefaultTenant;
+    int64_t logical_bytes = 0;
+    int64_t store_bytes = 0;
+  };
+  std::unordered_map<std::string, PendingWrite> pending_writes_;
   std::condition_variable pending_cv_;
   // Dead-stripe count already folded into the channel rates.
   std::atomic<int> seen_dead_stripes_{0};

@@ -24,6 +24,7 @@
 #include "runtime/compute_pool.h"
 #include "runtime/async_update_engine.h"
 #include "runtime/ratel_trainer.h"
+#include "storage/fault_injector.h"
 #include "tests/scoped_temp_dir.h"
 
 namespace ratel {
@@ -465,6 +466,131 @@ TEST_F(AsyncOptimTest, ErrorsSurfaceInAsyncModeToo) {
   EXPECT_EQ(ooc.DrainTensor("nope").code(), StatusCode::kNotFound);
   EXPECT_TRUE(ooc.DrainTensor("w").ok());
   EXPECT_TRUE(ooc.DrainAll().ok());
+}
+
+// ---------- Write absorption across epochs ----------
+
+// An engine with one I/O worker that a "gate" write (kDeferredState, so
+// a flow-scoped fault config still stalls it) can park in the store:
+// while the gate holds, every later store write stays queued, and the
+// next epoch of a tensor absorbs the previous epoch's writes.
+struct GatedEngine {
+  GatedEngine(const std::string& dir, double write_bandwidth,
+              FaultConfig faults = {})
+      : injector(faults) {
+    TransferOptions opts;
+    opts.dir = dir;
+    opts.num_stripes = 2;
+    opts.chunk_bytes = 4096;
+    opts.host_cache_bytes = 1 << 20;
+    opts.write_bandwidth = write_bandwidth;
+    opts.io_workers = 1;
+    opts.fault_injector = &injector;
+    opts.stripe_death_threshold = 1 << 20;  // injected faults kill nothing
+    auto engine_or = TransferEngine::Open(opts);
+    EXPECT_TRUE(engine_or.ok()) << engine_or.status().ToString();
+    engine = std::move(engine_or).value();
+  }
+
+  void HoldGate() {
+    injector.StallOpsOn("gate");
+    const float one = 1.0f;
+    gate = engine->SubmitWrite(FlowClass::kDeferredState, "gate", &one, 4);
+    injector.WaitForStalled(1);
+  }
+
+  Status ReleaseGate() {
+    injector.ReleaseStalled();
+    return engine->Wait(gate);
+  }
+
+  FaultInjector injector;
+  std::unique_ptr<TransferEngine> engine;
+  TransferEngine::Ticket gate = 0;
+};
+
+// On a 40 MB/s write-throttled store, consecutive epochs overlap and
+// the newer epoch absorbs the older one's queued writes — the first
+// steps deterministically (the gate holds the only worker), the rest
+// wherever the channel lags. The final state is still bitwise sync's.
+TEST_F(AsyncOptimTest, AbsorbedEpochWritesKeepTheSyncStateBitwise) {
+  constexpr int kAbsorbSteps = 8;
+  const RunResult sync = RunUpdates(tmp.Sub("abs_sync"), AsyncUpdateOptions{},
+                                    kN, kAbsorbSteps, 1, /*cache_bytes=*/0);
+  GatedEngine gated(tmp.Sub("abs_async"), /*write_bandwidth=*/40e6);
+  AdamConfig cfg;
+  cfg.lr = 2e-3;
+  cfg.weight_decay = 0.05;
+  AsyncUpdateOptions async;
+  async.async = true;
+  async.chunk = 64;
+  RunResult deferred;
+  {
+    AsyncUpdateEngine ooc(cfg, gated.engine.get(), async);
+    ASSERT_TRUE(ooc.Register("w", RandomVec(kN, 11)).ok());
+    // Non-fatal checks while the gate holds: an early return would
+    // leave the optimizer's destructor draining behind the gate.
+    gated.HoldGate();
+    for (int step = 1; step <= kAbsorbSteps; ++step) {
+      if (step == 4) {
+        // Epoch 3 published, so it has absorbed epoch 2's writes.
+        EXPECT_TRUE(ooc.DrainTensor("w").ok());
+        EXPECT_TRUE(gated.ReleaseGate().ok());
+      }
+      EXPECT_TRUE(ooc.StepTensor("w", RandomGrads16(kN, 500 + step)).ok());
+    }
+    int64_t adam_step = 0;
+    Buffer p32, m, v;
+    ASSERT_TRUE(ooc.ExportStateBuffers("w", &adam_step, &p32, &m, &v).ok());
+    ASSERT_TRUE(ooc.DrainAll().ok());
+    EXPECT_EQ(adam_step, kAbsorbSteps);
+    deferred.p32 = Floats(p32);
+    deferred.m = Floats(m);
+    deferred.v = Floats(v);
+  }
+  const TransferStats stats = gated.engine->stats();
+  const FlowCounters& c = stats.Flow(FlowClass::kDeferredState);
+  // Epochs 1 and 2 were absorbed whole while the gate held.
+  EXPECT_GE(c.bytes_absorbed, 2 * 3 * 4 * kN);
+  EXPECT_EQ(c.errors, 0);
+  int64_t encoded_written = 0;
+  for (const FlowCounters& f : stats.flow) {
+    encoded_written += f.encoded_bytes_written;
+  }
+  EXPECT_EQ(encoded_written, stats.store_bytes_written);
+  EXPECT_TRUE(BitwiseEqual(sync.p32, deferred.p32));
+  EXPECT_TRUE(BitwiseEqual(sync.m, deferred.m));
+  EXPECT_TRUE(BitwiseEqual(sync.v, deferred.v));
+}
+
+// Epoch 2 absorbs epoch 1's queued writes, then its own writes fail on
+// the store: the error of the surviving write is the tensor's sticky
+// epoch status, and the absorbed writes report none.
+TEST_F(AsyncOptimTest, AnErrorOnTheSurvivingWriteReachesTheEpochStatus) {
+  FaultConfig faults;
+  faults.write_error_every = 1;  // every deferred write attempt fails
+  faults.flow_mask = 1u << static_cast<int>(FlowClass::kDeferredState);
+  GatedEngine gated(tmp.Sub("abs_err"), /*write_bandwidth=*/0.0, faults);
+  AsyncUpdateOptions async;
+  async.async = true;
+  async.chunk = 64;
+  AsyncUpdateEngine ooc(AdamConfig{}, gated.engine.get(), async);
+  ASSERT_TRUE(ooc.Register("w", RandomVec(kN, 3)).ok());  // kGradState
+  gated.HoldGate();  // non-fatal checks until the release, as above
+  EXPECT_TRUE(ooc.StepTensor("w", RandomGrads16(kN, 1)).ok());
+  EXPECT_TRUE(ooc.StepTensor("w", RandomGrads16(kN, 2)).ok());
+  EXPECT_TRUE(ooc.DrainTensor("w").ok());  // published: no error yet
+  EXPECT_EQ(gated.engine->stats().Flow(FlowClass::kDeferredState)
+                .bytes_absorbed,
+            3 * 4 * kN);
+  EXPECT_FALSE(gated.ReleaseGate().ok());  // the gate write fails too
+  const Status drained = ooc.DrainAll();
+  EXPECT_EQ(drained.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(ooc.DrainTensor("w").code(), drained.code());
+  const FlowCounters c =
+      gated.engine->stats().Flow(FlowClass::kDeferredState);
+  EXPECT_EQ(c.errors, 1 + 3);  // the gate and epoch 2's three writes
+  EXPECT_EQ(c.bytes_written, 0);
 }
 
 TEST_F(AsyncOptimTest, FailedRegisterRollsBackSoTheNameStaysUsable) {

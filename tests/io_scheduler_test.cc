@@ -74,8 +74,8 @@ class StarvationHarness {
     store_ = std::move(store_or).value();
     sched_ = std::make_unique<IoScheduler>(store_.get(), workers, tuning);
     injector_.StallOpsOn("gate");
-    sched_->SubmitWrite("gate", Bytes(byte_),
-                        IoScheduler::Priority::kLatencyCritical);
+    gate_ = sched_->SubmitWrite("gate", Bytes(byte_),
+                                IoScheduler::Priority::kLatencyCritical);
     injector_.WaitForStalled(1);  // the worker is now held busy
   }
 
@@ -95,12 +95,15 @@ class StarvationHarness {
   }
 
   IoScheduler& sched() { return *sched_; }
+  const BlockStore& store() const { return *store_; }
+  IoScheduler::Ticket gate() const { return gate_; }
 
  private:
   const ScopedTempDir tmp_;
   FaultInjector injector_{FaultConfig{}};
   std::unique_ptr<BlockStore> store_;
   std::unique_ptr<IoScheduler> sched_;
+  IoScheduler::Ticket gate_ = 0;
   std::vector<uint8_t> byte_ = {0x01};
   std::mutex mu_;
   std::vector<std::string> order_;
@@ -408,6 +411,48 @@ TEST_F(IoSchedulerTest, BufferPayloadRoundTrip) {
       sched.SubmitRead("blob", dst, IoScheduler::Priority::kLatencyCritical);
   ASSERT_TRUE(sched.Wait(rt).ok());
   EXPECT_EQ(std::memcmp(dst.data(), payload.data(), 5000), 0);
+}
+
+// Withdraw takes back a write only while it is queued: the withdrawn
+// write resolves OK at once, its callback never runs, and it never
+// reaches the store. In-service writes, reads and unknown tickets are
+// refused and left untouched.
+TEST_F(IoSchedulerTest, WithdrawTakesBackOnlyAQueuedWrite) {
+  StarvationHarness harness("withdraw");
+  IoScheduler& sched = harness.sched();
+  std::atomic<bool> withdrawn_cb{false};
+  const auto queued = sched.SubmitWrite(
+      "dropped", Bytes({1, 2, 3}), IoScheduler::Priority::kBackground,
+      [&](const IoResult&) { withdrawn_cb = true; });
+  const auto kept = sched.SubmitWrite("kept", Bytes({4, 5}),
+                                      IoScheduler::Priority::kBackground);
+  EXPECT_TRUE(sched.Withdraw(queued));
+  EXPECT_FALSE(sched.Withdraw(queued));  // already resolved
+  EXPECT_TRUE(sched.Wait(queued).ok());  // resolves while the gate holds
+  // Queued behind "kept" in the same class, so it finds the blob.
+  const auto read = sched.SubmitRead("kept", Buffer::Allocate(2),
+                                     IoScheduler::Priority::kBackground);
+  EXPECT_FALSE(sched.Withdraw(read));    // reads are never withdrawn
+  EXPECT_FALSE(sched.Withdraw(987654));  // never issued
+
+  harness.ReleaseGate();
+  ASSERT_TRUE(sched.Drain().ok());
+  EXPECT_TRUE(sched.Wait(kept).ok());
+  EXPECT_TRUE(sched.Wait(read).ok());
+  EXPECT_FALSE(withdrawn_cb.load());
+  EXPECT_FALSE(harness.store().Contains("dropped"));
+  EXPECT_TRUE(harness.store().Contains("kept"));
+  // A withdrawn write is not a served one.
+  EXPECT_EQ(sched.completed_background(), 2);
+}
+
+TEST_F(IoSchedulerTest, AWriteInServiceCannotBeWithdrawn) {
+  StarvationHarness harness("withdraw_busy");
+  IoScheduler& sched = harness.sched();
+  EXPECT_FALSE(sched.Withdraw(harness.gate()));  // parked in the store
+  harness.ReleaseGate();
+  EXPECT_TRUE(sched.Wait(harness.gate()).ok());
+  EXPECT_TRUE(harness.store().Contains("gate"));
 }
 
 }  // namespace

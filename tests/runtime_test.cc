@@ -346,20 +346,22 @@ TEST_F(RatelTrainerTest, StepStatsAccountTraffic) {
   Rng rng(9);
   std::vector<int64_t> ids, targets;
   MakeBatch(rng, 8, 48, &ids, &targets);
+  const TransferStats before = (*trainer)->transfer_stats();
   ASSERT_TRUE((*trainer)->TrainStep(ids, targets, 1).ok());
   const StepStats& s = (*trainer)->last_step_stats();
+  const TransferStats step = Delta((*trainer)->transfer_stats(), before);
   const int64_t p = model.NumParameters();
   // Reads: 4P of P32 fetch + 12P of optimizer state per step; writes:
   // 12P of optimizer state (no fp16 copy is stored).
   EXPECT_EQ(s.bytes_read, 16 * p);
   EXPECT_EQ(s.bytes_written, 12 * p);
   // The same traffic, broken down by flow class.
-  EXPECT_EQ(s.xfer.Flow(FlowClass::kParamFetch).bytes_read, 4 * p);
-  EXPECT_EQ(s.xfer.Flow(FlowClass::kParamFetch).bytes_written, 0);
-  EXPECT_EQ(s.xfer.Flow(FlowClass::kGradState).bytes_read, 12 * p);
-  EXPECT_EQ(s.xfer.Flow(FlowClass::kGradState).bytes_written, 12 * p);
-  EXPECT_EQ(s.xfer.Flow(FlowClass::kActivationSpill).bytes_read, 0);
-  EXPECT_EQ(s.xfer.Flow(FlowClass::kCheckpoint).bytes_read, 0);
+  EXPECT_EQ(step.Flow(FlowClass::kParamFetch).bytes_read, 4 * p);
+  EXPECT_EQ(step.Flow(FlowClass::kParamFetch).bytes_written, 0);
+  EXPECT_EQ(step.Flow(FlowClass::kGradState).bytes_read, 12 * p);
+  EXPECT_EQ(step.Flow(FlowClass::kGradState).bytes_written, 12 * p);
+  EXPECT_EQ(step.Flow(FlowClass::kActivationSpill).bytes_read, 0);
+  EXPECT_EQ(step.Flow(FlowClass::kCheckpoint).bytes_read, 0);
   EXPECT_GT(s.total_s, 0.0);
   EXPECT_GE(s.total_s + 1e-9, s.fetch_s + s.compute_s + s.optimizer_s - 1e-6);
 }

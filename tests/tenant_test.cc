@@ -124,6 +124,40 @@ TEST(FairQueueTest, OldestFrontAndPopOldestCrossLanes) {
   EXPECT_TRUE(q.empty());
 }
 
+TEST(FairQueueTest, EraseIfEmptiesALaneOutOfTheRotation) {
+  // Three backlogged lanes in strict alternation; erasing lane 2's only
+  // request retires the lane, and DWRR keeps alternating over the other
+  // two with no charge for the bytes that were never served.
+  FairQueue<int> q(/*quantum_bytes=*/1);
+  q.Push(1, 1, 10);
+  q.Push(2, 1, 20);
+  q.Push(3, 1, 30);
+  q.Push(1, 1, 11);
+  q.Push(3, 1, 31);
+  EXPECT_EQ(q.PopNext(), 10);
+  int erased = 0;
+  EXPECT_TRUE(q.EraseIf([](int v) { return v == 20; }, &erased));
+  EXPECT_EQ(erased, 20);
+  EXPECT_FALSE(q.EraseIf([](int v) { return v == 20; }, &erased));
+  EXPECT_EQ(q.size(), 3);
+  EXPECT_EQ(q.served_bytes(2), 0);
+  std::vector<int> order;
+  while (!q.empty()) order.push_back(q.PopNext());
+  EXPECT_EQ(order, (std::vector<int>{30, 11, 31}));
+}
+
+TEST(FairQueueTest, EraseIfKeepsLaneFifoAndTheOldestFront) {
+  FairQueue<int> q;
+  for (int i = 0; i < 5; ++i) q.Push(1, 100, i);
+  int erased = -1;
+  EXPECT_TRUE(q.EraseIf([](int v) { return v == 0; }, &erased));
+  EXPECT_EQ(q.OldestFront(), 1);
+  EXPECT_TRUE(q.EraseIf([](int v) { return v == 3; }, &erased));
+  std::vector<int> order;
+  while (!q.empty()) order.push_back(q.PopNext());
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 4}));
+}
+
 // ---------- IoScheduler tenant lanes ----------
 
 // Stall-gate harness (see io_scheduler_test.cc): the single worker is

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 namespace ratel::tools {
@@ -52,6 +53,39 @@ TEST(FlagParserTest, PositionalArgumentsPreserved) {
   ASSERT_EQ(f.positional().size(), 2u);
   EXPECT_EQ(f.positional()[0], "input.txt");
   EXPECT_EQ(f.positional()[1], "other");
+}
+
+TEST(FlagParserTest, ParseIntTakesOnlyAWholeIntegerInRange) {
+  EXPECT_EQ(ParseInt("12", 0, 100), 12);
+  EXPECT_EQ(ParseInt("-3", -5, 5), -3);
+  EXPECT_EQ(ParseInt("0", 0, 0), 0);
+  for (const char* bad : {"abc", "twelve", "12x", " 12", "12 ", "+12", "",
+                          "0x10", "1e3", "-"}) {
+    EXPECT_FALSE(ParseInt(bad, INT64_MIN, INT64_MAX).has_value())
+        << "'" << bad << "'";
+  }
+  EXPECT_FALSE(ParseInt("101", 0, 100).has_value());
+  EXPECT_FALSE(ParseInt("-1", 0, 100).has_value());
+  EXPECT_FALSE(ParseInt("99999999999999999999", INT64_MIN, INT64_MAX)
+                   .has_value());
+}
+
+TEST(FlagParserDeathTest, MalformedIntFlagExitsNamingTheFlag) {
+  const FlagParser f = Parse({"--ssds=twelve", "--mem", "abc"});
+  EXPECT_EXIT(f.GetInt("ssds", 12), ::testing::ExitedWithCode(2),
+              "invalid --ssds 'twelve'");
+  EXPECT_EXIT(f.GetInt("mem", 256), ::testing::ExitedWithCode(2),
+              "invalid --mem 'abc'");
+  // An int flag holds an int: a value past INT_MAX is malformed too.
+  const FlagParser big = Parse({"--batch=4294967296"});
+  EXPECT_EXIT(big.GetInt("batch", 1), ::testing::ExitedWithCode(2),
+              "invalid --batch");
+}
+
+TEST(FlagParserDeathTest, MalformedPositionalNumberExits) {
+  EXPECT_EXIT(ParseIntOrExit("steps", "abc", 0, 100),
+              ::testing::ExitedWithCode(2),
+              "invalid steps 'abc': expected an integer in \\[0, 100\\]");
 }
 
 }  // namespace

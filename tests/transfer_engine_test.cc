@@ -10,6 +10,7 @@
 
 #include "common/fp16.h"
 #include "common/rng.h"
+#include "xfer/tenant.h"
 #include "tests/scoped_temp_dir.h"
 
 namespace ratel {
@@ -699,6 +700,333 @@ TEST(TransferEngineForwardingTest, WriteAfterWriteReadsTheNewerValue) {
   }
   EXPECT_EQ(newer_forwarded, kTrials);
   EXPECT_EQ(newer_stored, kTrials);
+}
+
+// ----- Same-key ordering: write absorption -----
+
+// One I/O worker parked inside the store operation of a "gate" write,
+// so every later store request provably waits in the scheduler queue
+// until ReleaseGate().
+struct AbsorptionRig {
+  explicit AbsorptionRig(const std::string& spill_codec = "",
+                         int workers = 1) {
+    TransferOptions opts;
+    opts.dir = tmp.path();
+    opts.num_stripes = 2;
+    opts.chunk_bytes = 4096;
+    opts.io_workers = workers;
+    opts.fault_injector = &injector;
+    opts.codec.spec(FlowClass::kActivationSpill) = spill_codec;
+    auto engine_or = TransferEngine::Open(opts);
+    EXPECT_TRUE(engine_or.ok()) << engine_or.status().ToString();
+    engine = std::move(engine_or).value();
+  }
+
+  // A failed assertion may return with the gate held; the engine's
+  // destructor drains, so let the worker go first.
+  ~AbsorptionRig() { injector.ReleaseStalled(); }
+
+  void HoldGate() {
+    injector.StallOpsOn("gate");
+    const uint8_t byte = 1;
+    gate = engine->SubmitWrite(FlowClass::kCheckpoint, "gate", &byte, 1);
+    injector.WaitForStalled(1);
+  }
+
+  void ReleaseGate() {
+    injector.ReleaseStalled();
+    EXPECT_TRUE(engine->Wait(gate).ok());
+  }
+
+  const ScopedTempDir tmp{"xfer_absorb"};
+  FaultInjector injector{FaultConfig{}};
+  std::unique_ptr<TransferEngine> engine;
+  TransferEngine::Ticket gate = 0;
+};
+
+std::vector<uint8_t> Filled(int64_t size, uint8_t value) {
+  return std::vector<uint8_t>(static_cast<size_t>(size), value);
+}
+
+// W1, W2, W3 to one key while the channel is held: W2 absorbs W1 and W3
+// absorbs W2 at submit. Their tickets resolve OK before the channel
+// moves, and only W3's bytes reach the store.
+TEST(TransferEngineAbsorptionTest, QueuedWritesToOneKeyLeaveOnlyTheNewest) {
+  AbsorptionRig rig;
+  TransferEngine& engine = *rig.engine;
+  constexpr int64_t kBytes = 1000;
+  rig.HoldGate();
+  std::vector<TransferEngine::Ticket> writes;
+  for (uint8_t v : {11, 22, 33}) {
+    writes.push_back(engine.SubmitWrite(FlowClass::kDeferredState, "k",
+                                        Filled(kBytes, v).data(), kBytes));
+  }
+  // The absorbed writes resolve while the worker is still held.
+  EXPECT_TRUE(engine.Wait(writes[0]).ok());
+  EXPECT_TRUE(engine.Wait(writes[1]).ok());
+  FlowCounters c = engine.stats().Flow(FlowClass::kDeferredState);
+  EXPECT_EQ(c.bytes_absorbed, 2 * kBytes);
+  EXPECT_EQ(c.writes, 0);
+
+  rig.ReleaseGate();
+  ASSERT_TRUE(engine.Wait(writes[2]).ok());
+  Buffer stored;
+  ASSERT_TRUE(engine
+                  .Wait(engine.SubmitRead(FlowClass::kDeferredState, "k",
+                                          &stored, kBytes))
+                  .ok());
+  EXPECT_EQ(Vec(stored), Filled(kBytes, 33));
+
+  const TransferStats stats = engine.stats();
+  c = stats.Flow(FlowClass::kDeferredState);
+  EXPECT_EQ(c.bytes_absorbed, 2 * kBytes);
+  EXPECT_EQ(c.writes, 1);
+  EXPECT_EQ(c.bytes_written, kBytes);
+  EXPECT_EQ(c.errors, 0);
+  int64_t encoded_written = 0;
+  for (const FlowCounters& f : stats.flow) {
+    encoded_written += f.encoded_bytes_written;
+  }
+  EXPECT_EQ(encoded_written, stats.store_bytes_written);
+  EXPECT_EQ(stats.store_bytes_written, kBytes + 1);  // W3 + the gate byte
+}
+
+// A write already in service is never absorbed: the next same-key write
+// waits for it at submit, and both reach the store in submission order.
+TEST(TransferEngineAbsorptionTest, AWriteInServiceIsWaitedOutNotAbsorbed) {
+  AbsorptionRig rig;
+  TransferEngine& engine = *rig.engine;
+  constexpr int64_t kBytes = 512;
+  rig.injector.StallOpsOn("k");
+  const auto w1 = engine.SubmitWrite(FlowClass::kDeferredState, "k",
+                                     Filled(kBytes, 1).data(), kBytes);
+  rig.injector.WaitForStalled(1);  // W1 is inside the store Put
+
+  std::atomic<bool> submitted{false};
+  TransferEngine::Ticket w2 = 0;
+  std::thread writer([&] {
+    w2 = engine.SubmitWrite(FlowClass::kDeferredState, "k",
+                            Filled(kBytes, 2).data(), kBytes);
+    submitted = true;
+  });
+  // W1 cannot resolve while it is parked, so W2's submit cannot return.
+  EXPECT_FALSE(submitted.load());
+  rig.injector.ReleaseStalled();
+  writer.join();
+  ASSERT_TRUE(engine.WaitAll({w1, w2}).ok());
+
+  Buffer stored;
+  ASSERT_TRUE(engine
+                  .Wait(engine.SubmitRead(FlowClass::kDeferredState, "k",
+                                          &stored, kBytes))
+                  .ok());
+  EXPECT_EQ(Vec(stored), Filled(kBytes, 2));
+  const TransferStats stats = engine.stats();
+  const FlowCounters& c = stats.Flow(FlowClass::kDeferredState);
+  EXPECT_EQ(c.bytes_absorbed, 0);
+  EXPECT_EQ(c.writes, 2);
+  EXPECT_EQ(c.encoded_bytes_written, 2 * kBytes);
+  EXPECT_EQ(stats.store_bytes_written, 2 * kBytes);
+}
+
+// fp16 activation spill: after W2 absorbed W1, a forwarded read decodes
+// W2's frame — decode(encode(W2)) — and the store ends with that frame.
+TEST(TransferEngineAbsorptionTest, ForwardedSpillReadDecodesTheNewestFrame) {
+  AbsorptionRig rig("fp16");
+  TransferEngine& engine = *rig.engine;
+  const std::vector<float> older = RandomFloats(21, 333);
+  const std::vector<float> newer = RandomFloats(22, 333);
+  const int64_t bytes = static_cast<int64_t>(4 * newer.size());
+  rig.HoldGate();
+  const auto w1 = engine.SubmitWrite(FlowClass::kActivationSpill, "act",
+                                     older.data(), bytes);
+  const auto w2 = engine.SubmitWrite(FlowClass::kActivationSpill, "act",
+                                     newer.data(), bytes);
+  Buffer forwarded;
+  ASSERT_TRUE(engine
+                  .Wait(engine.SubmitRead(FlowClass::kActivationSpill, "act",
+                                          &forwarded, bytes))
+                  .ok());
+  ASSERT_EQ(forwarded.size(), bytes);
+  const auto* got = reinterpret_cast<const float*>(forwarded.data());
+  for (size_t i = 0; i < newer.size(); ++i) {
+    ASSERT_EQ(got[i], HalfToFloat(FloatToHalf(newer[i]))) << "element " << i;
+  }
+  rig.ReleaseGate();
+  ASSERT_TRUE(engine.WaitAll({w1, w2}).ok());
+
+  Buffer resolved;
+  ASSERT_TRUE(engine
+                  .Wait(engine.SubmitRead(FlowClass::kActivationSpill, "act",
+                                          &resolved, bytes))
+                  .ok());
+  EXPECT_EQ(Vec(resolved), Vec(forwarded));
+  const TransferStats stats = engine.stats();
+  const FlowCounters& c = stats.Flow(FlowClass::kActivationSpill);
+  EXPECT_EQ(c.bytes_absorbed, bytes);  // logical bytes of W1
+  EXPECT_EQ(c.encodes, 2);
+  EXPECT_EQ(c.writes, 1);
+  EXPECT_EQ(c.encoded_bytes_written + 1, stats.store_bytes_written);
+}
+
+// Per-tenant accounting still reconciles with absorption on, and an
+// absorbed write hands its in-flight quota bytes back at once.
+TEST(TransferEngineAbsorptionTest, TenantStatsSumToTheEngineTotals) {
+  AbsorptionRig rig;
+  TransferEngine& engine = *rig.engine;
+  constexpr int64_t kBytes = 256;
+  TenantConfig quota;
+  quota.quota.inflight_bytes = 2 * kBytes;  // room for exactly two writes
+  engine.ConfigureTenant(1, quota);
+  rig.HoldGate();
+  std::vector<TransferEngine::Ticket> tickets;
+  for (TenantId tenant : {1, 2}) {
+    ScopedTenant scope(tenant);
+    for (int i = 0; i < 5; ++i) {
+      // Were absorbed bytes not released, tenant 1's third write would
+      // block on its quota for as long as the gate holds.
+      tickets.push_back(engine.SubmitWrite(
+          FlowClass::kDeferredState, "t" + std::to_string(tenant),
+          Filled(kBytes, static_cast<uint8_t>(i)).data(), kBytes));
+      EXPECT_EQ(engine.tenant_inflight_bytes(tenant), kBytes);
+    }
+  }
+  rig.ReleaseGate();
+  ASSERT_TRUE(engine.WaitAll(tickets).ok());
+
+  const TransferStats total = engine.stats();
+  EXPECT_EQ(total.Flow(FlowClass::kDeferredState).bytes_absorbed,
+            2 * 4 * kBytes);
+  static constexpr int64_t FlowCounters::*kCounters[] = {
+      &FlowCounters::reads,          &FlowCounters::writes,
+      &FlowCounters::bytes_read,     &FlowCounters::bytes_written,
+      &FlowCounters::bytes_absorbed, &FlowCounters::errors,
+      &FlowCounters::bytes_copied,   &FlowCounters::allocs_avoided,
+      &FlowCounters::encoded_bytes_written};
+  for (int f = 0; f < kNumFlowClasses; ++f) {
+    for (auto counter : kCounters) {
+      int64_t sum = 0;
+      for (TenantId t : engine.tenants()) {
+        sum += engine.tenant_stats(t).flow[f].*counter;
+      }
+      EXPECT_EQ(sum, total.flow[f].*counter) << "flow " << f;
+    }
+  }
+  EXPECT_EQ(engine.tenant_stats(1).Flow(FlowClass::kDeferredState).bytes_absorbed,
+            4 * kBytes);
+  EXPECT_EQ(engine.tenant_inflight_bytes(1), 0);
+  EXPECT_EQ(engine.tenant_inflight_bytes(2), 0);
+}
+
+// 10,000 randomized writes and reads on a few keys, 4 I/O workers and a
+// slow write channel so writes pile up and absorb each other: every read
+// returns the latest value submitted to its key, and every submitted
+// byte is either written or absorbed exactly once.
+TEST(TransferEngineAbsorptionTest, RandomizedSameKeyMixReadsTheLatestValue) {
+  const ScopedTempDir tmp("xfer_absorb_mix");
+  TransferOptions opts;
+  opts.dir = tmp.path();
+  opts.num_stripes = 2;
+  opts.chunk_bytes = 4096;
+  opts.io_workers = 4;
+  opts.write_bandwidth = 2e6;
+  auto engine_or = TransferEngine::Open(opts);
+  ASSERT_TRUE(engine_or.ok());
+  TransferEngine& engine = **engine_or;
+  constexpr int kOps = 10000;
+  constexpr int kKeys = 4;
+  constexpr int64_t kBytes = 64;
+  auto value_of = [](int op) {
+    std::vector<uint8_t> v(kBytes);
+    for (int64_t i = 0; i < kBytes; ++i) {
+      v[i] = static_cast<uint8_t>((op >> (8 * (i % 4))) + i);
+    }
+    return v;
+  };
+  std::vector<int> latest(kKeys, -1);
+  std::vector<TransferEngine::Ticket> writes;
+  Rng rng(77);
+  int64_t written_ops = 0;
+  for (int op = 0; op < kOps; ++op) {
+    const int k = static_cast<int>(rng.NextBelow(kKeys));
+    const std::string key = "mix" + std::to_string(k);
+    if (latest[k] < 0 || rng.NextBelow(2) == 0) {
+      writes.push_back(engine.SubmitWrite(FlowClass::kDeferredState, key,
+                                          value_of(op).data(), kBytes));
+      latest[k] = op;
+      ++written_ops;
+      continue;
+    }
+    Buffer got;
+    ASSERT_TRUE(engine
+                    .Wait(engine.SubmitRead(FlowClass::kDeferredState, key,
+                                            &got, kBytes))
+                    .ok());
+    ASSERT_EQ(Vec(got), value_of(latest[k])) << "op " << op;
+  }
+  ASSERT_TRUE(engine.WaitAll(writes).ok());
+  for (int k = 0; k < kKeys; ++k) {
+    Buffer got;
+    ASSERT_TRUE(engine
+                    .Wait(engine.SubmitRead(FlowClass::kDeferredState,
+                                            "mix" + std::to_string(k), &got,
+                                            kBytes))
+                    .ok());
+    EXPECT_EQ(Vec(got), value_of(latest[k])) << "key " << k;
+  }
+  const TransferStats stats = engine.stats();
+  const FlowCounters& c = stats.Flow(FlowClass::kDeferredState);
+  EXPECT_GT(c.bytes_absorbed, 0);
+  EXPECT_EQ(c.bytes_written + c.bytes_absorbed, written_ops * kBytes);
+  EXPECT_EQ(c.encoded_bytes_written, stats.store_bytes_written);
+}
+
+// Concurrent same-key writers: each submit must withdraw exactly the
+// ticket recorded with the entry it replaces, so every ticket resolves
+// OK and every byte is accounted once, as written or as absorbed.
+TEST(TransferEngineAbsorptionTest, ConcurrentSameKeyWritersAccountEveryByte) {
+  const ScopedTempDir tmp("xfer_absorb_race");
+  TransferOptions opts;
+  opts.dir = tmp.path();
+  opts.num_stripes = 2;
+  opts.chunk_bytes = 4096;
+  opts.io_workers = 2;
+  opts.write_bandwidth = 8e6;
+  auto engine_or = TransferEngine::Open(opts);
+  ASSERT_TRUE(engine_or.ok());
+  TransferEngine& engine = **engine_or;
+  constexpr int kThreads = 4;
+  constexpr int kWritesPerThread = 500;
+  constexpr int64_t kBytes = 128;
+  std::vector<std::vector<TransferEngine::Ticket>> tickets(kThreads);
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&, t] {
+      for (int i = 0; i < kWritesPerThread; ++i) {
+        const uint8_t value = static_cast<uint8_t>(t + 1);
+        tickets[t].push_back(engine.SubmitWrite(
+            FlowClass::kDeferredState, "race", Filled(kBytes, value).data(),
+            kBytes));
+      }
+    });
+  }
+  for (std::thread& w : writers) w.join();
+  for (const auto& set : tickets) ASSERT_TRUE(engine.WaitAll(set).ok());
+  const TransferStats stats = engine.stats();
+  const FlowCounters& c = stats.Flow(FlowClass::kDeferredState);
+  EXPECT_EQ(c.bytes_written + c.bytes_absorbed,
+            kThreads * kWritesPerThread * kBytes);
+  EXPECT_EQ(c.encoded_bytes_written, stats.store_bytes_written);
+  EXPECT_EQ(c.errors, 0);
+  Buffer stored;
+  ASSERT_TRUE(engine
+                  .Wait(engine.SubmitRead(FlowClass::kDeferredState, "race",
+                                          &stored, kBytes))
+                  .ok());
+  const uint8_t last = Vec(stored).front();
+  EXPECT_GE(last, 1);
+  EXPECT_LE(last, kThreads);
+  EXPECT_EQ(Vec(stored), Filled(kBytes, last));
 }
 
 }  // namespace

@@ -1,13 +1,47 @@
 #ifndef RATEL_TOOLS_FLAG_PARSER_H_
 #define RATEL_TOOLS_FLAG_PARSER_H_
 
+#include <charconv>
+#include <climits>
 #include <cstdint>
 #include <cstdlib>
+#include <iostream>
 #include <map>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ratel::tools {
+
+/// `text` as a base-10 integer in [min, max], or std::nullopt when it is
+/// not one: the digits (with an optional leading '-') must be the whole
+/// value, so "twelve", "12x", " 12", "+12" and "" are all rejected, as is
+/// a value out of range.
+inline std::optional<int64_t> ParseInt(std::string_view text, int64_t min,
+                                       int64_t max) {
+  int64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value < min || value > max) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+/// ParseInt of the command-line value of `what`; a malformed value
+/// prints a message naming both and exits with status 2.
+inline int64_t ParseIntOrExit(std::string_view what, std::string_view text,
+                              int64_t min, int64_t max) {
+  const std::optional<int64_t> value = ParseInt(text, min, max);
+  if (!value.has_value()) {
+    std::cerr << "invalid " << what << " '" << text
+              << "': expected an integer in [" << min << ", " << max
+              << "]\n";
+    std::exit(2);
+  }
+  return *value;
+}
 
 /// Tiny --key=value / --key value command-line parser for the CLI tools.
 class FlagParser {
@@ -37,9 +71,13 @@ class FlagParser {
     return it != flags_.end() ? it->second : def;
   }
 
+  /// The integer value of --key, `def` when absent. A value that is not
+  /// a whole integer fitting an int exits the program (ParseIntOrExit).
   int64_t GetInt(const std::string& key, int64_t def = 0) const {
     auto it = flags_.find(key);
-    return it != flags_.end() ? std::atoll(it->second.c_str()) : def;
+    return it != flags_.end()
+               ? ParseIntOrExit("--" + key, it->second, INT_MIN, INT_MAX)
+               : def;
   }
 
   bool GetBool(const std::string& key, bool def = false) const {
